@@ -58,7 +58,9 @@ def _pct(values, q: float) -> float:
 
 
 def peak_rss_mb() -> float:
-    """Peak RSS of this process plus its largest finished child."""
+    """Peak RSS of this process plus its largest finished child (read
+    before any set-up probe runs, so the child is a pool or fleet
+    process of the workload)."""
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     return (own + children) / 1024.0
@@ -166,7 +168,7 @@ def _summary(p) -> tuple[dict, list[str]]:
     (perfbench/NOTES.md)."""
     lat = _latencies_ms(p, "fresh")
     rlat = _latencies_ms(p, "replay")
-    if not lat or not rlat:
+    if not lat or (not rlat and any(op.kind == "replay" for op in p.ops)):
         raise RuntimeError("no successful operation to measure")
     evals = sum(op.record["evaluations"] for op in p.ops
                 if op.kind == "fresh" and op.error is None)
@@ -179,7 +181,8 @@ def _summary(p) -> tuple[dict, list[str]]:
     derived = [f"{name}: {_pct(values, q):.4g} ms (n={len(values)})"
                for name, values, q in (("job latency p90", lat, 90),
                                        ("replay latency p50", rlat, 50),
-                                       ("replay latency p90", rlat, 90))]
+                                       ("replay latency p90", rlat, 90))
+               if values]
     return metrics, derived
 
 
@@ -189,15 +192,13 @@ def _check(wl, passes) -> tuple[int, list[str], dict]:
     keys = {op.key for p in passes for op in p.ops
             if op.kind == "fresh" and op.error is None}
     refs = wl.references(keys)
-    attempted, failures = check_ops(passes, refs, wl.fresh_records)
+    attempted, failures = check_ops(passes, refs,
+                                    getattr(wl, "fresh_records", {}))
     return attempted, failures, refs
 
 
 def run_untraced(args, scratch: Path) -> tuple[dict, int, list, list]:
-    setups = [_probe_setup(args.workload, args.seed)
-              for _ in range(SETUP_SAMPLES - 1)]
     wl, main_setup = _setup(args.workload, args.seed, scratch)
-    setups.append(main_setup)
     cpu_before = _cpu_times()
     try:
         p = wl.run_pass(seconds=args.seconds)
@@ -205,6 +206,8 @@ def run_untraced(args, scratch: Path) -> tuple[dict, int, list, list]:
         wl.close()
     steal = _steal_share(cpu_before, _cpu_times())
     rss = peak_rss_mb()
+    setups = [main_setup] + [_probe_setup(args.workload, args.seed)
+                             for _ in range(SETUP_SAMPLES - 1)]
     summary, derived = _summary(p)
     metrics = {
         "setup_s": (statistics.median(setups), "s", len(setups)),

@@ -11,9 +11,7 @@
   finished ones.
 
 The workload seed decides every spec; the program only sees the specs.
-Search workloads also replay finished records through a digest-keyed
-``ResultStore``, the ``run_search.py --cache-dir`` path, so every
-workload has a read path next to its write path.
+The search workloads' timed loop holds ``lpq_quantize`` calls only.
 
 Every result is checked against a reference run of the same spec (see
 ``reference_spec``); references are computed after the timed passes and
@@ -39,7 +37,7 @@ import repro.perf.bench  # noqa: F401  (registers the bench:* models)
 from repro.parallel import ExecutorConfig
 from repro.perf.bench import bench_config
 from repro.quant import FitnessConfig, LPQConfig, lpq_quantize
-from repro.serve.store import ResultStore, result_record
+from repro.serve.store import result_record
 from repro.spec import CalibSpec, SearchSpec
 
 #: record fields a reference run must reproduce bit for bit
@@ -157,8 +155,6 @@ class SearchWorkload:
     #: (search times differ by up to 20% between spec seeds)
     cycle = (0, 1, 0)
     anchor_seed = 0
-    #: result-store replays after each search
-    replays = 32
     #: reference runs in parallel, or serially here (which also times
     #: the serial path for the derived speedup)
     reference_processes = 2
@@ -177,18 +173,13 @@ class SearchWorkload:
             )
             for i, s in enumerate(seeds)
         }
-        self.scratch = scratch
         self.cache_dir = scratch.parent / "references"
-        self.store: ResultStore | None = None
-        self.fresh_records: dict = {}
-        self._replay_cursor = 0
 
     @property
     def workers(self) -> int:
         return self.executor.workers if self.executor else 1
 
     def setup(self) -> None:
-        self.store = ResultStore(self.scratch / "results")
         lpq_quantize(spec=self.specs[0])  # warm-up
 
     def close(self) -> None:
@@ -217,24 +208,8 @@ class SearchWorkload:
                 record, error = None, f"{type(exc).__name__}: {exc}"
             ops.append(Op("fresh", key, time.perf_counter() - t, record,
                           error))
-            if record is not None:
-                self.store.store(spec.digest(), record)
-                self.fresh_records.setdefault(key, record)
-            ops.extend(self._replays())
             i += 1
         return Pass(ops, time.perf_counter() - start, [i])
-
-    def _replays(self) -> list[Op]:
-        done = sorted(self.fresh_records)
-        ops = []
-        for _ in range(self.replays if done else 0):
-            key = done[self._replay_cursor % len(done)]
-            self._replay_cursor += 1
-            t = time.perf_counter()
-            record = self.store.load(self.specs[key].digest())
-            ops.append(Op("replay", key, time.perf_counter() - t, record,
-                          None if record is not None else "store miss"))
-        return ops
 
     def reference_spec(self, spec: SearchSpec) -> SearchSpec:
         """The serial in-process search of the same spec."""
