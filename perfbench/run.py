@@ -156,6 +156,18 @@ def _probe_setup(workload: str, seed: int) -> float:
     return float(out.stdout.strip().splitlines()[-1])
 
 
+def stop_resource_tracker() -> None:
+    """Stop multiprocessing's resource tracker and wait for it to exit.
+
+    Spawned pools and shared memory start it as a child of this process;
+    left alone it outlives the process until it reads end-of-file on its
+    pipe.
+    """
+    tracker = sys.modules.get("multiprocessing.resource_tracker")
+    if tracker is not None:
+        tracker._resource_tracker._stop()
+
+
 def _latencies_ms(p, kind: str) -> list[float]:
     return [op.latency * 1e3 for op in p.ops
             if op.kind == kind and op.error is None]
@@ -310,6 +322,7 @@ def main(argv: list[str] | None = None) -> int:
         run = run_traced if args.trace else run_untraced
         metrics, attempted, failures, derived = run(args, scratch)
     finally:
+        stop_resource_tracker()
         shutil.rmtree(scratch, ignore_errors=True)
 
     print(f"perfbench {args.workload} seed={args.seed} "
