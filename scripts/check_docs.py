@@ -51,7 +51,8 @@ DOCTEST_MODULES = (
     "repro.spec.wire",  # frame codec
     "repro.spec.blob",  # content-addressed blob store
     "repro.numerics.registry",  # make_format
-    "repro.numerics.logposit",  # lp_quantize_many
+    "repro.numerics.logposit",  # lp_quantize(_many): signed zero / NaN
+    "repro.numerics.posit",  # posit_encode: signed zero / NaN / NaR
     "repro.obs.hub",  # MetricsHub publish/subscribe
     "repro.obs.emitter",  # MetricsEmitter delta sampling
     "repro.obs.timeseries",  # TimeSeriesStore replay + merge_samples

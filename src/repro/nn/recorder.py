@@ -49,10 +49,20 @@ def record_activations(
     ...     model(x)
     >>> acts["features.0"].shape
     """
+    with _recording(quantizable_layers(model), layer_names) as store:
+        yield store
+
+
+@contextlib.contextmanager
+def _recording(
+    layers: list[tuple[str, Module]], layer_names: list[str] | None
+) -> Iterator[dict[str, np.ndarray]]:
+    """:func:`record_activations` over a ``quantizable_layers`` list the
+    caller already holds (evaluators build theirs once)."""
     store: dict[str, np.ndarray] = {}
     removers = []
     wanted = None if layer_names is None else set(layer_names)
-    for name, layer in quantizable_layers(model):
+    for name, layer in layers:
         if wanted is not None and name not in wanted:
             continue
 

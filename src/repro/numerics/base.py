@@ -55,7 +55,7 @@ class BitLevelFormat(NumberFormat):
     Formats whose encoder rounds in the log domain over a sign-symmetric
     positive value table (posits and their LP relatives) can return that
     table from :meth:`_lut` to get a fused ``quantize``: reals map
-    straight to representable values through one ``searchsorted``,
+    straight to representable values through the table's bucket index,
     skipping the encode→decode round trip while staying bitwise
     identical to it (the table values *are* the decode outputs).
     """
@@ -72,9 +72,8 @@ class BitLevelFormat(NumberFormat):
         """Value table enabling the fused quantize path (or None).
 
         When not None, must be a :class:`repro.numerics.posit.PositTable`
-        (or duck-type its ``values``/``project``): sorted positive
-        representable values equal to the decode outputs bit-for-bit,
-        with a projection matching the rounding rule used by ``encode``.
+        whose values equal the decode outputs bit-for-bit and whose
+        rounding rule is the one ``encode`` uses.
         """
         return None
 
@@ -82,14 +81,7 @@ class BitLevelFormat(NumberFormat):
         table = self._lut()
         if table is None:
             return self.decode(self.encode(x))
-        x = np.asarray(x, dtype=np.float64)
-        mag = np.abs(x)
-        out = np.zeros(x.shape, dtype=np.float64)
-        pos = mag > 0  # excludes zeros and NaNs
-        out[pos] = table.values[table.project(mag[pos])]
-        out = np.where(x < 0, -out, out)
-        out[np.isnan(x)] = np.nan
-        return out
+        return table.quantize(x)
 
     def all_patterns(self) -> np.ndarray:
         """Every bit pattern of width ``self.bits`` (for exhaustive checks)."""

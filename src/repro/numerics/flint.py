@@ -24,6 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .base import NumberFormat
+from .posit import PositTable
 
 __all__ = ["FlintFormat"]
 
@@ -72,12 +73,13 @@ class FlintFormat(NumberFormat):
         return _flint_positive_values(self.n) * self.scale
 
     def quantize(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        # nearest value in the linear domain through the LP/posit kernel;
+        # flint has no encode, so its "patterns" are just the indices
         vals = self._values()
-        mids = 0.5 * (vals[:-1] + vals[1:])
-        mag = np.abs(x)
-        idx = np.searchsorted(mids, np.clip(mag, vals[0], vals[-1]), side="left")
-        return np.sign(x) * vals[idx]
+        table = PositTable.build(
+            vals, np.arange(vals.size), self.n, log_domain=False
+        )
+        return table._lookup(x, table.slot_values, None, 0.0)
 
     def dynamic_range(self) -> tuple[float, float]:
         vals = self._values()

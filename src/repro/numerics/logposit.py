@@ -32,11 +32,15 @@ the decoder (paper Fig. 3 feeds ``sf`` into the regime constructor).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .base import BitLevelFormat
 from .posit import PositTable, _decode_core, _registered_table
+
+if TYPE_CHECKING:
+    from numpy.typing import DTypeLike
 
 __all__ = [
     "LPParams",
@@ -136,7 +140,7 @@ def _lp_positive_table(n: int, es: int, rs: int) -> PositTable:
         base = LPParams(n=n, es=es, rs=rs, sf=0.0)
         patterns = np.arange(1, 1 << (n - 1), dtype=np.int64)
         values = lp_decode(patterns, base)
-        return PositTable.build(values, patterns)
+        return PositTable.build(values, patterns, n)
 
     return _registered_table(("lp", n, es, rs), build)
 
@@ -149,51 +153,48 @@ def lp_encode(x: np.ndarray, params: LPParams) -> np.ndarray:
     range clamp to minpos/maxpos — posit semantics: no underflow to zero,
     no overflow to infinity.  NaN encodes to the NaR pattern.
     """
-    p = params.clamped()
-    x = np.asarray(x, dtype=np.float64)
-    table = _lp_positive_table(p.n, p.es_eff, p.rs_eff)
     # sf only rescales the whole value set: search in the sf=0 table.
-    mag = np.abs(x) * np.exp2(p.sf)
-    out = np.zeros(x.shape, dtype=np.int64)
-    pos = mag > 0  # excludes zeros and NaNs
-    out[pos] = table.patterns[table.project(mag[pos])]
-    neg = x < 0
-    out[neg] = ((1 << p.n) - out[neg]) & ((1 << p.n) - 1)
-    out[np.isnan(x)] = 1 << (p.n - 1)  # NaR
-    return out
+    table = _lp_positive_table(params.n, params.es_eff, params.rs_eff)
+    return table.encode(x, params.sf)
 
 
-def lp_quantize(x: np.ndarray, params: LPParams) -> np.ndarray:
+def lp_quantize(
+    x: np.ndarray, params: LPParams, dtype: DTypeLike = np.float64
+) -> np.ndarray:
     """Project ``x`` onto the LP⟨n, es, rs, sf⟩ value set.
 
-    Fused table lookup — one log-domain ``searchsorted`` against the
-    cached sf=0 table, bitwise identical to ``decode(encode(x))``.
+    Fused table lookup through the cached sf=0 table's bucket index,
+    bitwise identical to ``decode(encode(x))``.  The result is float64;
+    ``dtype=np.float32`` returns bitwise the float64 result's
+    ``.astype(np.float32)`` without the float64 intermediate.
+
+    Signed zeros and NaN: ``+0.0`` and ``-0.0`` both give ``+0.0``; a
+    negative so tiny that ``|x| * 2^sf`` underflows to zero gives
+    ``-0.0``; NaN gives NaN.  Infinities clamp to ±maxpos like every
+    other out-of-range magnitude.
+
+    >>> x = np.array([0.0, -0.0, -1e-323, np.nan])
+    >>> q = lp_quantize(x, LPParams(n=6, es=1, rs=3, sf=-2.0))
+    >>> q.tolist(), np.signbit(q).tolist()
+    ([0.0, 0.0, -0.0, nan], [False, False, True, False])
     """
-    p = params.clamped()
-    x = np.asarray(x, dtype=np.float64)
-    table = _lp_positive_table(p.n, p.es_eff, p.rs_eff)
-    scaled = np.abs(x) * np.exp2(p.sf)
-    out = np.zeros(x.shape, dtype=np.float64)
-    pos = scaled > 0
-    out[pos] = table.values[table.project(scaled[pos])] * np.exp2(-p.sf)
-    out = np.where(x < 0, -out, out)
-    out[np.isnan(x)] = np.nan
-    return out
+    table = _lp_positive_table(params.n, params.es_eff, params.rs_eff)
+    return table.quantize(x, params.sf, dtype)
 
 
 def lp_quantize_many(
-    tensors: list[np.ndarray], params_list: list[LPParams]
+    tensors: list[np.ndarray],
+    params_list: list[LPParams],
+    dtype: DTypeLike = np.float64,
 ) -> list[np.ndarray]:
-    """Quantize many ``(tensor, params)`` pairs with shared LUT passes.
+    """Quantize many ``(tensor, params)`` pairs with one table lookup
+    per shared format.
 
     Pairs whose clamped ⟨n, es, rs⟩ share an sf=0 table are grouped and
-    projected through **one** ``searchsorted`` over their concatenated
-    magnitudes; ``sf`` only rescales each segment by the scalars
-    ``2^sf`` / ``2^-sf`` before/after the shared pass.  Because
-    :meth:`PositTable.project` is elementwise and the scalings are
-    per-segment, every output is bitwise identical to calling
-    :func:`lp_quantize` pair by pair — the fast path changes wall
-    clock, never bits.
+    the table is looked up once per group; ``sf`` only rescales each
+    tensor by ``2^sf`` / ``2^-sf`` around the shared index.  Every
+    output (``dtype`` as in :func:`lp_quantize`) is bitwise identical
+    to calling :func:`lp_quantize` pair by pair.
 
     >>> import numpy as np
     >>> a, b = np.array([0.3, -1.7]), np.array([[2.5]])
@@ -209,34 +210,12 @@ def lp_quantize_many(
         )
     results: list[np.ndarray | None] = [None] * len(tensors)
     groups: dict[tuple[int, int, int], list[int]] = {}
-    for idx, params in enumerate(params_list):
-        p = params.clamped()
+    for idx, p in enumerate(params_list):
         groups.setdefault((p.n, p.es_eff, p.rs_eff), []).append(idx)
     for (n, es, rs), idxs in groups.items():
-        if len(idxs) == 1:
-            i = idxs[0]
-            results[i] = lp_quantize(tensors[i], params_list[i])
-            continue
         table = _lp_positive_table(n, es, rs)
-        xs = [np.asarray(tensors[i], dtype=np.float64) for i in idxs]
-        scaled = np.concatenate(
-            [(np.abs(x) * np.exp2(params_list[i].sf)).ravel()
-             for x, i in zip(xs, idxs)]
-        )
-        flat = np.zeros(scaled.shape, dtype=np.float64)
-        pos = scaled > 0  # excludes zeros and NaNs
-        flat[pos] = table.values[table.project(scaled[pos])]
-        offset = 0
-        for x, i in zip(xs, idxs):
-            seg = flat[offset:offset + x.size].reshape(x.shape)
-            offset += x.size
-            # zeros stay exactly 0.0 under the scalar multiply, so
-            # applying 2^-sf to the whole segment matches lp_quantize
-            # applying it to the positive lookups only
-            out = seg * np.exp2(-params_list[i].sf)
-            out = np.where(x < 0, -out, out)
-            out[np.isnan(x)] = np.nan
-            results[i] = out
+        for i in idxs:
+            results[i] = table.quantize(tensors[i], params_list[i].sf, dtype)
     return results  # type: ignore[return-value]
 
 

@@ -49,8 +49,8 @@ from ..nn import (
     ForwardCache,
     Module,
     quantizable_layers,
-    record_activations,
 )
+from ..nn.recorder import _recording
 from ..perf import get_perf
 from .params import QuantSolution
 
@@ -155,9 +155,9 @@ class IncrementalEvaluator:
         self.perf = perf if perf is not None else get_perf()
         # -- incremental engine state ------------------------------------
         self.fast = self.config.fast and not _has_active_dropout(model)
-        self._bns = [
-            m for _, m in model.named_modules() if isinstance(m, BatchNorm2d)
-        ]
+        # module lists walked once here instead of on every evaluation
+        self._modules = [m for _, m in model.named_modules()]
+        self._bns = [m for m in self._modules if isinstance(m, BatchNorm2d)]
         self._memo: dict = {}
         self._weight_cache = WeightQuantCache(
             self.config.weight_cache_entries,
@@ -223,9 +223,9 @@ class IncrementalEvaluator:
         """Evaluate a batch of candidates, results in submission order.
 
         Candidates not already memoized get their quantized weights
-        prefilled through :meth:`prefill_weights` first — one stacked
-        LUT pass per shared format instead of per-layer-per-candidate
-        calls — then each candidate runs the usual (bitwise-identical)
+        prefilled through :meth:`prefill_weights` first — one LUT lookup
+        per shared format instead of per-layer-per-candidate calls —
+        then each candidate runs the usual (bitwise-identical)
         incremental path against a warm cache.  A
         :class:`repro.parallel.PopulationEvaluator` additionally fans
         the batch out across executor workers.
@@ -255,8 +255,8 @@ class IncrementalEvaluator:
 
         All missing ``(layer, params)`` pairs across the batch are
         computed in one :meth:`WeightQuantCache.prefill` call, which
-        groups them by clamped LP format and runs a single shared LUT
-        ``searchsorted`` per group (``lp_quantize_many``).  Returns the
+        groups them by clamped LP format and looks each group's LUT up
+        once (``lp_quantize_many``).  Returns the
         number of cache entries computed; the
         ``population.prefill_entries`` counter tracks the same number.
         """
@@ -317,17 +317,17 @@ class IncrementalEvaluator:
         return None
 
     def _measure_fast(self, solution, act_params):
-        from .quantizer import apply_quantization, clear_quantization
+        from .quantizer import _clear, _install, _set_training
 
         cfg = self._layer_config(solution, act_params)
         full = not self._forward_cache.primed or self._ref_cfg is None
         first = 0 if full else self._first_diff(cfg)
-        apply_quantization(
-            self.model,
+        _install(
+            self._layers,
             solution,
             act_params,
-            cache=self._weight_cache,
-            act_cache=self._act_cache,
+            self._weight_cache,
+            self._act_cache,
         )
         try:
             if first is None:
@@ -342,8 +342,8 @@ class IncrementalEvaluator:
             if self._bns:
                 acts, out = self._fused_recal_pass(dirty, suffix_names, full)
             else:
-                self.model.eval()
-                with record_activations(self.model, suffix_names) as acts:
+                _set_training(self._modules, False)
+                with _recording(self._layers, suffix_names) as acts:
                     if full:
                         out = self._forward_cache.forward(self.images)
                     else:
@@ -366,7 +366,7 @@ class IncrementalEvaluator:
             self.reset_caches()
             raise
         finally:
-            clear_quantization(self.model)
+            _clear(self._layers)
 
     def _fused_recal_pass(self, dirty, suffix_names, full):
         """One training-mode pass with BN momentum 1: recalibrates BN and
@@ -374,10 +374,10 @@ class IncrementalEvaluator:
         path's second forward redundant (see
         :func:`repro.quant.quantizer.bn_batch_stats`).
         """
-        from .quantizer import bn_batch_stats
+        from .quantizer import _batch_stats_window
 
-        with bn_batch_stats(self.model, self._bns):
-            with record_activations(self.model, suffix_names) as acts:
+        with _batch_stats_window(self._modules, self._bns):
+            with _recording(self._layers, suffix_names) as acts:
                 if full:
                     out = self._forward_cache.forward(self.images)
                 else:

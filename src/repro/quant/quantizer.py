@@ -72,7 +72,8 @@ class WeightQuantCache:
             return entry[1]
         if self.stats is not None:
             self.stats.miss()
-        wq = lp_quantize(layer.weight.data, params).astype(layer.weight.data.dtype)
+        w = layer.weight.data
+        wq = lp_quantize(w, params, dtype=w.dtype)
         self._data[key] = (layer, wq)
         while len(self._data) > self.max_entries:
             self._data.popitem(last=False)
@@ -81,13 +82,13 @@ class WeightQuantCache:
         return wq
 
     def prefill(self, pairs) -> int:
-        """Batch-compute missing entries with one stacked LUT pass.
+        """Batch-compute missing entries, one LUT lookup per format.
 
         ``pairs`` is an iterable of ``(layer, params)``; pairs already
         cached (or duplicated within the batch) are skipped, the rest go
         through :func:`repro.numerics.lp_quantize_many` — pairs sharing
-        a clamped format run one shared ``searchsorted`` over their
-        concatenated weights, bitwise identical to the per-pair path.
+        a clamped format share one LUT lookup, bitwise identical to the
+        per-pair path.
         Each computed entry counts as a *miss* (it is the same compute a
         later :meth:`quantized_weight` miss would have done); the later
         lookups then count as hits.  Returns the number of entries
@@ -103,16 +104,18 @@ class WeightQuantCache:
             missing.append((layer, params))
         if not missing:
             return 0
+        weights = [layer.weight.data for layer, _ in missing]
         quantized = lp_quantize_many(
-            [layer.weight.data for layer, _ in missing],
+            weights,
             [params for _, params in missing],
+            dtype=np.result_type(*{w.dtype for w in weights}),
         )
         for (layer, params), wq in zip(missing, quantized):
             if self.stats is not None:
                 self.stats.miss()
             self._data[(id(layer), params)] = (
                 layer,
-                wq.astype(layer.weight.data.dtype),
+                wq.astype(layer.weight.data.dtype, copy=False),
             )
             while len(self._data) > self.max_entries:
                 self._data.popitem(last=False)
@@ -167,7 +170,7 @@ class ActQuantCache:
             return entry[2]
         if self.stats is not None:
             self.stats.miss()
-        qx = lp_quantize(x, params).astype(x.dtype)
+        qx = lp_quantize(x, params, dtype=x.dtype)
         self._data[key] = (layer, x, qx)
         while len(self._data) > self.max_entries:
             self._data.popitem(last=False)
@@ -272,7 +275,12 @@ def apply_quantization(
     a prefix-reuse forward feeds the same cached tensor to the first
     recomputed layer across candidates.
     """
-    layers = quantizable_layers(model)
+    _install(quantizable_layers(model), solution, act_params, cache, act_cache)
+
+
+def _install(layers, solution, act_params, cache, act_cache) -> None:
+    """:func:`apply_quantization` over a ``quantizable_layers`` list the
+    caller already holds (evaluators build theirs once)."""
     if len(layers) != len(solution):
         raise ValueError(
             f"solution has {len(solution)} layers, model has {len(layers)}"
@@ -282,9 +290,8 @@ def apply_quantization(
         if cache is not None:
             layer.weight_fq = cache.quantized_weight(layer, wp)
         else:
-            layer.weight_fq = lp_quantize(layer.weight.data, wp).astype(
-                layer.weight.data.dtype
-            )
+            w = layer.weight.data
+            layer.weight_fq = lp_quantize(w, wp, dtype=w.dtype)
         if act_params is not None and i > 0:
             ap = act_params[i - 1]
             layer.input_fq = _make_act_quantizer(ap, layer, act_cache)
@@ -302,13 +309,17 @@ def _make_act_quantizer(
             return cache.quantize(layer, x, params)
     else:
         def quantize(x: np.ndarray) -> np.ndarray:
-            return lp_quantize(x, params).astype(x.dtype)
+            return lp_quantize(x, params, dtype=x.dtype)
 
     return quantize
 
 
 def clear_quantization(model: Module) -> None:
-    for _, layer in quantizable_layers(model):
+    _clear(quantizable_layers(model))
+
+
+def _clear(layers) -> None:
+    for _, layer in layers:
         layer.clear_quant()
 
 
@@ -354,17 +365,32 @@ def bn_batch_stats(model: Module, bns: list | None = None) -> Iterator[list]:
     """
     from ..nn import BatchNorm2d
 
+    modules = [m for _, m in model.named_modules()]
     if bns is None:
-        bns = [m for _, m in model.named_modules() if isinstance(m, BatchNorm2d)]
+        bns = [m for m in modules if isinstance(m, BatchNorm2d)]
+    with _batch_stats_window(modules, bns):
+        yield bns
+
+
+@contextlib.contextmanager
+def _batch_stats_window(modules: list, bns: list) -> Iterator[list]:
+    """:func:`bn_batch_stats` over the model's module and BatchNorm lists
+    that the caller already holds (evaluators build theirs once)."""
     saved = _save_bn_state(bns)
     for bn in bns:
         bn.momentum = 1.0
-    model.train()
+    _set_training(modules, True)
     try:
         yield bns
     finally:
-        model.eval()
+        _set_training(modules, False)
         _restore_bn_state(bns, saved)
+
+
+def _set_training(modules: list, mode: bool) -> None:
+    """``Module.train(mode)`` over a precomputed ``named_modules`` list."""
+    for m in modules:
+        m.training = mode
 
 
 @contextlib.contextmanager

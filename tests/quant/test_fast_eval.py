@@ -110,6 +110,43 @@ class TestBitwiseEquivalence:
             assert slow(sol, acts) == fast(sol, acts)
 
 
+class TestModuleWalks:
+    """The fast path reuses the module lists its evaluator built once;
+    evaluations walk no module tree (and stay bitwise the reference's)."""
+
+    @pytest.mark.parametrize("bn", [True, False])
+    def test_fast_evaluations_walk_no_module_tree(
+        self, bn, bn_setup, tiny_model, calib_images, monkeypatch
+    ):
+        if bn:
+            model, images, stats = bn_setup
+        else:
+            model, images = tiny_model, calib_images
+            stats = collect_layer_stats(model, images)
+        slow = FitnessEvaluator(
+            model, images, stats.param_counts, FitnessConfig(fast=False)
+        )
+        fast = FitnessEvaluator(
+            model, images, stats.param_counts, FitnessConfig(fast=True)
+        )
+        walks = []
+        original = nn.Module.named_modules
+
+        def counting(self, prefix=""):
+            if not prefix:
+                walks.append(self)
+            return original(self, prefix)
+
+        for sol in _candidates(stats, count=4, seed=5):
+            acts = derive_activation_params(sol, stats)
+            monkeypatch.setattr(nn.Module, "named_modules", counting)
+            got = fast(sol, acts)
+            monkeypatch.setattr(nn.Module, "named_modules", original)
+            assert got == slow(sol, acts)
+        assert walks == []
+        assert all(not m.training for _, m in model.named_modules())
+
+
 class TestMemo:
     def test_duplicate_candidates_skip_computation(self, bn_setup):
         model, images, stats = bn_setup
