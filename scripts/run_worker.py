@@ -28,6 +28,9 @@ finishes every chunk it already accepted, then exits — no chunk is
 lost, and the clients requeue anything that raced in after the
 announcement.  ``SIGINT``/Ctrl-C stops abruptly (clients requeue all
 in-flight chunks onto the rest of the fleet).
+
+The worker runs its BLAS on one thread (it evaluates one chunk at a
+time), so start one worker per core to use a host's cores.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 from ..perf import PerfRegistry, diff_snapshots
 from ..spec import registry as spec_registry
+from ._blas import one_blas_thread
 from .evaluator import EvaluatorReplica, EvaluatorSpec
 
 __all__ = [
@@ -93,7 +94,9 @@ class ExecutorConfig:
     ``workers=None`` uses every available CPU (min 1).  ``start_method``
     overrides the multiprocessing start method for the process backend
     (``None`` = platform default; "spawn" exercises the fully-pickled
-    path that a distributed deployment would use).
+    path that a distributed deployment would use).  Every process and
+    remote worker runs its BLAS on one thread, since parallelism comes
+    from the worker count; the calling process keeps its own.
 
     The ``remote`` backend instead takes ``addresses`` — ``host:port``
     strings of running ``scripts/run_worker.py`` workers — plus an
@@ -307,6 +310,7 @@ def _init_worker(spec: EvaluatorSpec | None, wire: dict | None = None,
     # turning a bad spec into a hang.  Swallow the error here and let the
     # first task report it instead.
     try:
+        one_blas_thread()
         _WORKER_PERF = PerfRegistry()
         if wire is not None:
             from ..spec.blob import attach_transport_table

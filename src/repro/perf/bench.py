@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import multiprocessing
 import os
 import platform
 import time
@@ -642,6 +643,33 @@ def _model_section(
     return section
 
 
+def _blas_section() -> dict:
+    """The BLAS numpy was built against, this process's BLAS thread
+    count, and the count a process-pool worker runs with (``None``
+    where the BLAS is not OpenBLAS)."""
+    import numpy
+
+    from ..parallel._blas import blas_threads
+    from ..serve.pool import _init_shared_worker
+
+    try:
+        deps = numpy.show_config(mode="dicts")["Build Dependencies"]
+        blas = {k: deps["blas"].get(k) for k in ("name", "version")}
+    except (KeyError, TypeError, ValueError):
+        blas = {"name": None, "version": None}
+    # the default start method, as the process backend uses: under fork
+    # the worker inherits this process's count and must still read 1
+    with multiprocessing.get_context().Pool(
+        1, initializer=_init_shared_worker, initargs=({},)
+    ) as pool:
+        worker_threads = pool.apply(blas_threads)
+    return {
+        "blas": blas,
+        "blas_threads": blas_threads(),
+        "worker_blas_threads": worker_threads,
+    }
+
+
 def run_search_throughput_bench(
     calib: int = 16,
     config: LPQConfig | None = None,
@@ -695,6 +723,7 @@ def run_search_throughput_bench(
             "machine": platform.machine(),
             "platform": platform.platform(),
             "python": platform.python_version(),
+            **_blas_section(),
         },
         "config": {
             "population": config.population,

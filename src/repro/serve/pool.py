@@ -59,6 +59,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ..parallel import EvaluatorSpec, ExecutorConfig
+from ..parallel._blas import one_blas_thread
 from ..perf import PerfRegistry, diff_snapshots
 from ..spec import registry as spec_registry
 
@@ -282,6 +283,7 @@ def _init_shared_worker(wires: dict[str, dict],
     _SHARED_STATE = {}
     _SHARED_BLOBS = None
     _SHARED_BLOBS_ERROR = None
+    one_blas_thread()
     if blob_table:
         try:
             from ..spec.blob import attach_transport_table

@@ -64,6 +64,7 @@ import warnings
 
 from ..obs import MetricsEmitter, get_hub
 from ..parallel import EvaluatorSpec, ExecutorConfig, parse_address
+from ..parallel._blas import one_blas_thread
 from ..perf import PerfRegistry
 from ..spec import registry as spec_registry
 from ..spec.blob import BlobStore, get_blob_store
@@ -159,6 +160,9 @@ class _WorkerSession(threading.Thread):
         #: test hook (:meth:`WorkerServer.silence`): swallow every
         #: frame, answer nothing — a hung worker as the client sees it
         self.muted = False
+        #: set once ``welcome`` is on the wire; telemetry broadcasts
+        #: skip sessions still in their handshake
+        self.welcomed = False
 
     # -- plumbing --------------------------------------------------------
     def _send(self, message: dict) -> None:
@@ -227,7 +231,12 @@ class _WorkerSession(threading.Thread):
             self._send(error_message("bad auth token"))
             self.server._log(f"refused {self.peer}: bad auth token")
             return False
-        self._send(welcome_message(capacity=1))
+        data = frame_message(welcome_message(capacity=1))
+        with self._send_lock:
+            self.sock.sendall(data)
+            # under the send lock: a broadcast that sees the flag sends
+            # its metrics frame after the welcome, never before
+            self.welcomed = True
         self.server._log(f"accepted {self.peer}")
         return True
 
@@ -386,7 +395,10 @@ class WorkerServer:
 
     Production workers run ``scripts/run_worker.py``; tests and
     single-host fleets may embed the server in-process via
-    :func:`local_worker_fleet`.
+    :func:`local_worker_fleet`.  :meth:`start` runs the process's
+    OpenBLAS on one thread: a worker evaluates one chunk at a time, so
+    the fleet's parallelism is its worker count (an in-process fleet
+    therefore caps its host process too).
     """
 
     def __init__(
@@ -434,6 +446,7 @@ class WorkerServer:
 
     # -- lifecycle -------------------------------------------------------
     def start(self) -> "WorkerServer":
+        one_blas_thread()
         listener = socket.create_server(
             (self.host, self.port), reuse_port=False
         )
@@ -630,9 +643,11 @@ class WorkerServer:
             emitter.sample()
 
     def _broadcast_metrics(self, sample: dict) -> None:
-        """Emitter sink: push one sample to every connected client as a
+        """Emitter sink: push one sample to every welcomed client as a
         ``metrics`` frame.  Best-effort by design — a dead or muted
-        session drops the sample, never the worker."""
+        session drops the sample, never the worker; a session still in
+        its handshake gets none, so ``welcome`` is always its first
+        frame."""
         frame = metrics_message(
             sample["source"], sample["seq"], sample["t"],
             delta=sample["delta"], gauges=sample["gauges"],
@@ -640,7 +655,7 @@ class WorkerServer:
         with self._lock:
             sessions = list(self._sessions)
         for session in sessions:
-            if session.muted:
+            if session.muted or not session.welcomed:
                 continue
             with contextlib.suppress(OSError, ValueError):
                 session._send(frame)

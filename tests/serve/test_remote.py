@@ -16,6 +16,7 @@ arbitrary TCP segmentation → decode.
 """
 
 import queue
+import socket
 import threading
 import time
 
@@ -39,6 +40,7 @@ from repro.spec.wire import (
     encode_solution,
     frame_message,
     hello_message,
+    read_frame,
 )
 
 from .conftest import SEARCH
@@ -176,6 +178,36 @@ class TestHandshake:
                 assert pool.healthy()
             finally:
                 pool.close()
+
+    def test_welcome_precedes_metrics_sent_mid_handshake(self):
+        """A telemetry broadcast that lands while a session is still in
+        its handshake must not reach that client: its first frame is
+        ``welcome``, then the samples."""
+        sample = {"source": "worker:test", "seq": 0, "t": 0.0,
+                  "delta": {}, "gauges": {}}
+        with WorkerServer() as server:
+            sock = socket.create_connection(
+                parse_address(server.address), timeout=10
+            )
+            try:
+                deadline = time.monotonic() + 10
+                while not server._sessions:  # accepted, not yet welcomed
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                (session,) = server._sessions
+                server._broadcast_metrics(sample)
+                sock.sendall(frame_message(hello_message()))
+                rfile = sock.makefile("rb")
+                assert read_frame(rfile)["type"] == "welcome"
+                # the flag is set just after the welcome write returns
+                while not session.welcomed:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                server._broadcast_metrics({**sample, "seq": 1})
+                frame = read_frame(rfile)
+                assert (frame["type"], frame["seq"]) == ("metrics", 1)
+            finally:
+                sock.close()
 
     def test_unreachable_worker_fails_with_address(self):
         results: queue.SimpleQueue = queue.SimpleQueue()
