@@ -11,6 +11,7 @@ bitwise-reproducibility contract rests on.
 from __future__ import annotations
 
 from .. import nn
+from ..nn.tensor import _seeded
 from ..spec import registry
 
 __all__ = ["tiny_resnet", "tiny_mlp", "TINY_SEED"]
@@ -59,16 +60,16 @@ class TinyMLP(nn.Module):
 
 def tiny_resnet() -> nn.Module:
     """Deterministic TinyResNet instance (seeded, eval mode)."""
-    nn.seed(TINY_SEED)
-    model = TinyResNet()
+    with _seeded(TINY_SEED):
+        model = TinyResNet()
     model.eval()
     return model
 
 
 def tiny_mlp() -> nn.Module:
     """Deterministic TinyMLP instance (seeded, eval mode)."""
-    nn.seed(TINY_SEED)
-    model = TinyMLP()
+    with _seeded(TINY_SEED):
+        model = TinyMLP()
     model.eval()
     return model
 

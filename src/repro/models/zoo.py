@@ -20,6 +20,7 @@ import numpy as np
 
 from .. import nn
 from ..data import make_dataset
+from ..nn.tensor import _seeded
 from ..spec import registry
 from .mobilenet import mobilenetv2_mini
 from .resnet import resnet18_mini, resnet50_mini
@@ -88,11 +89,11 @@ def evaluate(model: nn.Module, images: np.ndarray, labels: np.ndarray,
 def train_model(name: str, verbose: bool = False) -> tuple[nn.Module, dict]:
     """Train a registry model from scratch; returns (model, metadata)."""
     recipe = MODEL_REGISTRY[name]
-    nn.seed(recipe.seed + 0x5EED)  # deterministic parameter init
     rng = np.random.default_rng(recipe.seed)
     train = make_dataset("train", recipe.train_size, seed=recipe.seed)
     val = make_dataset("val", 512, seed=recipe.seed)
-    model = recipe.builder()
+    with _seeded(recipe.seed + 0x5EED):  # deterministic parameter init
+        model = recipe.builder()
     if recipe.optimizer == "sgd":
         opt = nn.SGD(model.parameters(), lr=recipe.lr, momentum=0.9,
                      weight_decay=recipe.weight_decay)

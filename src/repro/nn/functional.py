@@ -1,10 +1,12 @@
 """Low-level numpy kernels: patch extraction, conv/pool helpers, activations.
 
-Convolutions lower to GEMM: a strided-view patch gather is copied once
-into an im2col matrix and hits BLAS.  Three paths are specialized —
-dense (groups=1, plain GEMM), depthwise (broadcast multiply-reduce), and
-general grouped (batched GEMM).  The backward scatter (``col2im``) loops
-only over the K×K kernel offsets so every add is a big vectorized slice.
+The conv forward has two paths: depthwise (broadcast multiply-reduce)
+and GEMM.  The GEMM path copies its patches once as (B, G, Cg·KH·KW,
+OH·OW), spatial dims innermost so the copy moves whole rows, and one
+GEMM per image and group writes NCHW directly.  Backward keeps the
+(B·OH·OW, C·KH·KW) im2col GEMM, so its summation order is unchanged.
+The backward scatter (``col2im``) loops only over the K×K kernel
+offsets so every add is a big vectorized slice.
 """
 
 from __future__ import annotations
@@ -92,30 +94,20 @@ def conv2d_forward(
     ``weight`` has shape (O, C/G, KH, KW); activations are NCHW.
     """
     o, cg, kh, kw = weight.shape
-    b, c = x.shape[0], x.shape[1]
     xp = pad2d(x, pad)
-    if groups == 1:
-        cols, oh, ow = _im2col(xp, kh, kw, stride)
-        out = cols @ weight.reshape(o, -1).T  # (B*OH*OW, O)
-        out = out.reshape(b, oh, ow, o).transpose(0, 3, 1, 2)
-    elif cg == 1 and groups == c and o == c:
+    patches = extract_patches(xp, kh, kw, stride)
+    b, c, oh, ow = patches.shape[:4]
+    if cg == 1 and groups == c and o == c:
         # depthwise: broadcast multiply + reduce over the kernel window
-        patches = extract_patches(xp, kh, kw, stride)
         out = np.einsum("bcijkl,ckl->bcij", patches, weight[:, 0], optimize=True)
-        oh, ow = out.shape[2], out.shape[3]
+        out = np.ascontiguousarray(out)
     else:
-        patches = extract_patches(xp, kh, kw, stride)
-        oh, ow = patches.shape[2], patches.shape[3]
-        og = o // groups
-        # (G, B*OH*OW, Cg*KH*KW) batched against (G, Cg*KH*KW, Og)
+        # (G, Og, Cg*KH*KW) @ (B, G, Cg*KH*KW, OH*OW) lands in NCHW
         pg = patches.reshape(b, groups, cg, oh, ow, kh, kw)
-        lhs = np.ascontiguousarray(pg.transpose(1, 0, 3, 4, 2, 5, 6))
-        lhs = lhs.reshape(groups, b * oh * ow, cg * kh * kw)
-        rhs = weight.reshape(groups, og, cg * kh * kw).transpose(0, 2, 1)
-        out = np.matmul(lhs, rhs)  # (G, B*OH*OW, Og)
-        out = out.reshape(groups, b, oh, ow, og).transpose(1, 0, 4, 2, 3)
+        cols = np.ascontiguousarray(pg.transpose(0, 1, 2, 5, 6, 3, 4))
+        cols = cols.reshape(b, groups, cg * kh * kw, oh * ow)
+        out = np.matmul(weight.reshape(groups, o // groups, cg * kh * kw), cols)
         out = out.reshape(b, o, oh, ow)
-    out = np.ascontiguousarray(out)
     if bias is not None:
         out += bias[None, :, None, None]
     return out, xp

@@ -177,7 +177,8 @@ class BatchNorm2d(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         if self.training:
             mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            d = x - mean[None, :, None, None]
+            var = (d * d).mean(axis=(0, 2, 3))  # x.var's ops: the same bits
             self.running_mean = (
                 (1 - self.momentum) * self.running_mean + self.momentum * mean
             )
@@ -186,8 +187,9 @@ class BatchNorm2d(Module):
             )
         else:
             mean, var = self.running_mean, self.running_var
+            d = x - mean[None, :, None, None]
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+        xhat = d * inv_std[None, :, None, None]
         self._cache = (xhat, inv_std)
         return self.gamma.data[None, :, None, None] * xhat + self.beta.data[
             None, :, None, None
@@ -280,24 +282,22 @@ class MaxPool2d(Module):
         b, c, h, w = x.shape
         if h % k or w % k:
             raise ValueError(f"spatial dims {h}x{w} not divisible by pool {k}")
-        oh, ow = h // k, w // k
-        xr = x.reshape(b, c, oh, k, ow, k)
-        out = xr.max(axis=(3, 5))
-        mask = xr == out[:, :, :, None, :, None]  # (b, c, oh, k, ow, k)
-        # break ties: keep only the first max per window
-        flat = mask.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, oh, ow, k * k)
-        flat = flat & (np.cumsum(flat, axis=-1) == 1)
-        mask = flat.reshape(b, c, oh, ow, k, k).transpose(0, 1, 2, 4, 3, 5)
-        self._cache = (mask, x.shape)
+        out = x.reshape(b, c, h // k, k, w // k, k).max(axis=(3, 5))
+        self._cache = (x, out)
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         assert self._cache is not None
-        mask, x_shape = self._cache
-        b, c, h, w = x_shape
+        x, out = self._cache
+        b, c, oh, ow = out.shape
         k = self.kernel_size
+        mask = x.reshape(b, c, oh, k, ow, k) == out[:, :, :, None, :, None]
+        # break ties: route the gradient to the first max per window only
+        flat = mask.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, oh, ow, k * k)
+        flat = flat & (np.cumsum(flat, axis=-1) == 1)
+        mask = flat.reshape(b, c, oh, ow, k, k).transpose(0, 1, 2, 4, 3, 5)
         g = grad[:, :, :, None, :, None] * mask
-        return g.reshape(b, c, h, w)
+        return g.reshape(x.shape)
 
 
 class GlobalAvgPool(Module):

@@ -7,19 +7,33 @@ tolerances.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 
 __all__ = ["Parameter", "set_default_dtype", "get_default_dtype", "seed", "init_rng"]
 
 _DEFAULT_DTYPE = np.float32
 _INIT_RNG = np.random.default_rng(0x5EED)
+_INIT_LOCK = threading.RLock()  # held by reseeds and across builds
 
 
 def seed(value: int) -> None:
     """Reseed the global parameter-initialization RNG (deterministic
     model construction for experiments and tests)."""
     global _INIT_RNG
-    _INIT_RNG = np.random.default_rng(value)
+    with _INIT_LOCK:
+        _INIT_RNG = np.random.default_rng(value)
+
+
+@contextmanager
+def _seeded(value: int):
+    """``seed(value)``, then hold the init lock while the body builds, so
+    no other thread reseeds or draws from the init RNG in between."""
+    with _INIT_LOCK:
+        seed(value)
+        yield
 
 
 def init_rng() -> np.random.Generator:

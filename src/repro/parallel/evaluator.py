@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..nn import Module
+from ..nn.tensor import _INIT_LOCK
 from ..perf import get_perf
 from ..quant import (  # lint: disable=registry-bypass -- EvaluatorSpec.build is the registered construction path; the objective registry carries labels, not classes
     FitnessConfig,
@@ -77,17 +78,23 @@ class EvaluatorSpec:
                 "exactly one of builder or model must be provided"
             )
 
-    def build(self, perf=None, copy_model: bool = False) -> "EvaluatorReplica":
-        """Construct a replica; ``copy_model=True`` deep-copies a model
-        instance so the replica can mutate it independently (builders
-        always produce a fresh model)."""
+    def _model(self, copy_model: bool = False) -> Module:
+        """The eval-mode model a replica scores (see :meth:`build`)."""
         if self.builder is not None:
-            model = self.builder()
+            with _INIT_LOCK:  # its draws must not land inside a seeded build
+                model = self.builder()
         else:
             model = copy.deepcopy(self.model) if copy_model else self.model
         if self.state is not None:
             model.load_state_dict(self.state)
         model.eval()
+        return model
+
+    def build(self, perf=None, copy_model: bool = False) -> "EvaluatorReplica":
+        """Construct a replica; ``copy_model=True`` deep-copies a model
+        instance so the replica can mutate it independently (builders
+        always produce a fresh model)."""
+        model = self._model(copy_model)
         stats = self.stats
         if stats is None:
             stats = collect_layer_stats(model, self.images)

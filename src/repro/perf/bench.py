@@ -48,6 +48,7 @@ from pathlib import Path
 
 from .. import nn
 from ..data import calibration_batch
+from ..nn.tensor import _seeded
 from ..spec import registry as spec_registry
 from ..spec.blob import reset_blob_store
 from ..models.swin import SwinTransformer
@@ -147,8 +148,8 @@ def _bench_loader(name: str):
 
     def load() -> nn.Module:
         builder = BENCH_MODELS[name]
-        nn.seed(0)
-        model = builder()
+        with _seeded(0):
+            model = builder()
         model.eval()
         # lets repro.spec.wire name this instance by builder reference
         model.wire_builder = (builder.__module__, builder.__qualname__)
@@ -182,8 +183,8 @@ def bench_config(seed: int = 0) -> LPQConfig:
 
 def _prepare(model_name: str, calib: int, seed: int):
     """Freshly seeded model + calibration batch + layer stats."""
-    nn.seed(seed)  # identical weights across all modes
-    model = BENCH_MODELS[model_name]()
+    with _seeded(seed):  # identical weights across all modes
+        model = BENCH_MODELS[model_name]()
     model.eval()
     images = calibration_batch(calib, seed=seed + 1)
     stats = collect_layer_stats(model, images)

@@ -313,16 +313,6 @@ class SearchScheduler:
             raise ValueError(f"unknown activation sf mode {act_sf_mode!r}")
         if (model is None) == (builder is None):
             raise ValueError("exactly one of model or builder is required")
-        if stats is None:
-            # the calibration pass needs a live model; built here only
-            # when the caller did not precollect stats
-            local = model
-            if local is None:
-                local = builder()
-                if state is not None:
-                    local.load_state_dict(state)
-            local.eval()
-            stats = collect_layer_stats(local, calib_images)
         espec = EvaluatorSpec(
             images=calib_images,
             builder=builder,
@@ -333,6 +323,8 @@ class SearchScheduler:
             act_mode=act_sf_mode,
             stats=stats,
         )
+        if stats is None:  # the caller did not precollect them
+            stats = espec.stats = collect_layer_stats(espec._model(), calib_images)
         job_perf = PerfRegistry()
         engine = LPQEngine(
             None, stats.weight_log_centers, config, perf=job_perf
