@@ -32,7 +32,7 @@ def main() -> None:
     model = get_model("resnet18")  # trains + caches on first call
     calib = calibration_batch(64)  # unlabelled calibration images
     # the executor knob fans candidate evaluations out across worker
-    # processes (backends: "serial", "thread", "process"); every backend
+    # processes (backends: "serial", "process", "remote"); every backend
     # produces a bitwise-identical search trajectory, only faster
     workers = min(os.cpu_count() or 1, 4)
     executor = (

@@ -301,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
                              "x a parameter grid)")
     parser.add_argument("--backend", default=None,
                         help="override the executor backend "
-                             "(serial/thread/process/remote)")
+                             "(serial/process/remote)")
     parser.add_argument("--workers", type=int, default=None,
                         help="override the executor worker count")
     parser.add_argument("--addresses", default=None,

@@ -7,8 +7,8 @@ fleet speaks): clients submit :class:`repro.spec.SearchSpec` payloads,
 poll status, stream progress events, cancel, and fetch results —
 ``scripts/run_search.py --server HOST:PORT`` is the stock client.
 Accepted jobs run on one shared :class:`repro.serve.SearchScheduler`
-over the backend named by ``--backend`` (serial / thread / process /
-remote), so one daemon can front anything from an in-process pool to a
+over the backend named by ``--backend`` (serial / process / remote),
+so one daemon can front anything from an in-process pool to a
 remote worker fleet.
 
 Jobs are durable under ``--data-dir``: an append-only journal plus a
@@ -65,9 +65,9 @@ def main(argv: list[str] | None = None) -> int:
                              "on the same directory to recover the queue")
     parser.add_argument("--backend", default="serial",
                         help="worker-pool backend for accepted jobs "
-                             "(serial/thread/process/remote)")
+                             "(serial/process/remote)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker count (thread/process backends)")
+                        help="worker count (process backend)")
     parser.add_argument("--addresses", default=None,
                         help="comma-separated host:port worker addresses "
                              "(remote backend)")

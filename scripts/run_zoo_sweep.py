@@ -17,7 +17,7 @@ Usage::
         [--suite zoo|bench]   zoo = trained checkpoints (trains + caches
                               on first use); bench = the small synthetic
                               throughput-bench models (fast smoke run)
-        [--backend serial|thread|process] [--workers N]
+        [--backend serial|process|remote] [--workers N]
         [--calib 64] [--seed 0] [--effort fast|paper]
         [--no-eval]           skip the before/after top-1 evaluation
         [--out ZOO_sweep.json]

@@ -30,12 +30,10 @@ __all__ = ["RegistryBypassRule", "CONCRETE_IMPLS"]
 CONCRETE_IMPLS: dict[str, tuple[str, tuple[str, ...]]] = {
     # executor family (ExecutorConfig / registry("executor"))
     "SerialExecutor": ("executor", ("repro.parallel",)),
-    "ThreadExecutor": ("executor", ("repro.parallel",)),
     "ProcessExecutor": ("executor", ("repro.parallel",)),
     "RemoteExecutor": ("executor", ("repro.serve",)),
     # shared_pool family (make_shared_pool / registry("shared_pool"))
     "SharedSerialPool": ("shared_pool", ("repro.serve",)),
-    "SharedThreadPool": ("shared_pool", ("repro.serve",)),
     "SharedProcessPool": ("shared_pool", ("repro.serve",)),
     "SharedRemotePool": ("shared_pool", ("repro.serve",)),
     # format_family (calibrated_format / make_format)

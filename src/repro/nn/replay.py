@@ -132,8 +132,8 @@ class ForwardCache:
         return self._run_replay(x, cutoff)
 
     def _activate(self):
-        # thread-local: concurrent replicas (thread-backend population
-        # evaluation) must not observe each other's cached passes
+        # thread-local: concurrent replicas (in-process worker servers,
+        # scheduler threads) must not observe each other's cached passes
         prev = _module._REPLAY.active
         _module._REPLAY.active = self
         return prev

@@ -9,14 +9,17 @@ batch.  This package fans population slices out across worker replicas:
 * :class:`PopulationEvaluator` — the batched evaluator the GA engine
   talks to: memo-dedupes candidates, fans the rest out, returns results
   in submission order;
-* :class:`ExecutorConfig` + ``serial`` / ``thread`` / ``process`` /
-  ``remote`` executors — interchangeable backends with deterministic
-  ordering and perf-snapshot merging (worker cache hit-rates stay
-  truthful).  The remote backend fans out to TCP workers
+* :class:`ExecutorConfig` + ``serial`` / ``process`` / ``remote``
+  executors — interchangeable backends with deterministic ordering and
+  perf-snapshot merging (worker cache hit-rates stay truthful).  The
+  process backend runs the same worker body as the scheduler's shared
+  process pool; the remote backend fans out to TCP workers
   (:mod:`repro.serve.remote`) addressed by ``host:port``.
 
 The hard guarantee mirrors the incremental engine's: every backend
 produces bitwise-identical fitness values and search trajectories.
+:func:`repro.quant.lpq_quantize` itself runs this evaluator, on the
+serial backend unless told otherwise.
 
 ::
 
@@ -33,7 +36,6 @@ from .executor import (
     ExecutorConfig,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     make_executor,
     parse_address,
     parse_address_list,
@@ -47,7 +49,6 @@ __all__ = [
     "PopulationEvaluator",
     "ProcessExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
     "make_executor",
     "parse_address",
     "parse_address_list",

@@ -5,14 +5,13 @@ Three interchangeable backends score batches of candidates:
 * ``serial`` — one replica in the calling thread.  Zero overhead, and
   because the replica records into the ambient perf registry and its
   caches live across batches, a serial run is bit-for-bit *and*
-  counter-for-counter the PR-1 incremental engine.
-* ``thread`` — a :class:`~concurrent.futures.ThreadPoolExecutor` over N
-  replicas.  numpy releases the GIL inside BLAS kernels, so medium-size
-  models see real concurrency without any pickling.
-* ``process`` — a :class:`multiprocessing.pool.Pool` whose workers each
-  build a replica from the pickled :class:`EvaluatorSpec` at startup.
-  True parallelism; candidates and scalar results are the only per-task
-  traffic.
+  counter-for-counter the incremental engine.  It is also what
+  :func:`repro.quant.lpq_quantize` runs when no executor is given.
+* ``process`` — a :class:`multiprocessing.pool.Pool` running the same
+  worker body as the scheduler's shared process pool, with a one-job
+  table: each worker builds its replica from the wire payload (or the
+  pickled :class:`EvaluatorSpec`) on its first task.  True parallelism;
+  candidates and scalar results are the only per-task traffic.
 * ``remote`` — TCP workers (:mod:`repro.serve.remote`) addressed by
   ``ExecutorConfig(backend="remote", addresses=["host:port", ...])``.
   Jobs cross the socket as plain-JSON wire payloads
@@ -30,20 +29,19 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue
-from concurrent.futures import ThreadPoolExecutor
+import time
+import traceback
 from dataclasses import dataclass
 
 from ..perf import PerfRegistry, diff_snapshots
 from ..spec import registry as spec_registry
 from ._blas import one_blas_thread
-from .evaluator import EvaluatorReplica, EvaluatorSpec
+from .evaluator import EvaluatorSpec
 
 __all__ = [
     "BACKENDS",
     "ExecutorConfig",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "make_executor",
     "parse_address",
@@ -54,7 +52,7 @@ __all__ = [
 #: (``repro.spec.registry``) is the source of truth for validation and
 #: dispatch, so registered extension backends are accepted everywhere
 #: an ``ExecutorConfig`` is
-BACKENDS = ("serial", "thread", "process", "remote")
+BACKENDS = ("serial", "process", "remote")
 
 
 def parse_address(address: str) -> tuple[str, int]:
@@ -118,7 +116,7 @@ class ExecutorConfig:
     >>> from repro.parallel import ExecutorConfig
     >>> ExecutorConfig().backend  # serial: in-process, zero overhead
     'serial'
-    >>> ExecutorConfig("thread", workers=2).resolved_workers()
+    >>> ExecutorConfig("process", workers=2).resolved_workers()
     2
     >>> ExecutorConfig().resolved_workers() >= 1  # None = all CPUs
     True
@@ -133,7 +131,7 @@ class ExecutorConfig:
     >>> ExecutorConfig("gpu")
     Traceback (most recent call last):
         ...
-    ValueError: unknown backend 'gpu'; choose from ('serial', 'thread', 'process', 'remote')
+    ValueError: unknown backend 'gpu'; choose from ('serial', 'process', 'remote')
     >>> cfg = ExecutorConfig("remote", addresses=["127.0.0.1:7301"],
     ...                      retry={"max_attempts": 2}, on_fleet_death="local")
     >>> cfg.retry.max_attempts, cfg.on_fleet_death
@@ -244,119 +242,107 @@ class SerialExecutor:
         pass
 
 
-class ThreadExecutor:
-    """Thread-pool evaluation over per-worker replicas.
+# -- process workers ----------------------------------------------------
+# One worker body serves both process stacks: ProcessExecutor (a
+# one-job table) and repro.serve's SharedProcessPool (one entry per
+# scheduled job).  Worker state lives in module globals: each worker
+# receives the full job table once at init and builds a replica lazily
+# per job on its first task.  A table entry is a plain-JSON wire
+# payload (repro.spec.wire) or, for specs the wire codec rejects, the
+# pickled EvaluatorSpec itself.  A job whose replica fails to decode or
+# build fails *its own* tasks (the error travels back inside the result
+# tuple); the worker survives and keeps serving other jobs.
+_SHARED_JOBS: dict | None = None
+_SHARED_STATE: dict[str, tuple] | None = None
+_SHARED_BLOBS = None
+_SHARED_BLOBS_ERROR: str | None = None
 
-    Replicas are handed out through a queue so each is used by exactly
-    one task at a time; each owns a private registry whose per-task
-    deltas are merged by the submitting thread, keeping merges ordered
-    and race-free.
-    """
 
-    def __init__(self, spec: EvaluatorSpec, workers: int, perf) -> None:
-        self.workers = workers
-        self.perf = perf
-        self._replicas: queue.SimpleQueue = queue.SimpleQueue()
-        for _ in range(workers):
-            registry = PerfRegistry()
-            replica = spec.build(perf=registry, copy_model=True)
-            self._replicas.put((replica, registry, [registry.snapshot()]))
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-eval"
-        )
+def _evaluate_with_entry(entry, solutions):
+    """Score a chunk on one job-replica entry; returns (fits, delta)."""
+    replica, registry, last_snap = entry
+    fits = replica.evaluate_many(solutions)
+    snap = registry.snapshot()
+    delta = diff_snapshots(snap, last_snap[0])
+    last_snap[0] = snap
+    return fits, delta
 
-    def _evaluate_one(self, solution):
-        slot = self._replicas.get()
-        replica, registry, last_snap = slot
+
+def _build_entry(spec: EvaluatorSpec, copy_model: bool):
+    registry = PerfRegistry()
+    replica = spec.build(perf=registry, copy_model=copy_model)
+    return (replica, registry, [registry.snapshot()])
+
+
+def _init_shared_worker(jobs: dict, blob_table: dict | None = None) -> None:
+    global _SHARED_JOBS, _SHARED_STATE, _SHARED_BLOBS, _SHARED_BLOBS_ERROR
+    # plain assignments first: a raising initializer would respawn
+    # workers forever, so payload decoding and replica construction are
+    # deferred to the first task per job, and a blob-table attach
+    # failure is parked for the task to report
+    _SHARED_JOBS = jobs
+    _SHARED_STATE = {}
+    _SHARED_BLOBS = None
+    _SHARED_BLOBS_ERROR = None
+    one_blas_thread()
+    if blob_table:
         try:
-            fitness = replica.evaluate_many([solution])[0]
-            snap = registry.snapshot()
-            delta = diff_snapshots(snap, last_snap[0])
-            last_snap[0] = snap
-            return fitness, delta
-        finally:
-            self._replicas.put(slot)
-
-    def evaluate_batch(self, solutions) -> list[float]:
-        futures = [
-            self._pool.submit(self._evaluate_one, sol) for sol in solutions
-        ]
-        results = []
-        for future in futures:  # submission order == result order
-            fitness, delta = future.result()
-            self.perf.merge_snapshot(delta)
-            results.append(fitness)
-        return results
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
-# -- process backend ----------------------------------------------------
-# Worker state lives in module globals: multiprocessing initializes each
-# worker once with the pickled spec (or its wire payload + blob transport
-# table), then tasks only carry candidates.
-_WORKER_REPLICA: EvaluatorReplica | None = None
-_WORKER_PERF: PerfRegistry | None = None
-_WORKER_SNAP: dict | None = None
-_WORKER_INIT_ERROR: str | None = None
-
-
-def _init_worker(spec: EvaluatorSpec | None, wire: dict | None = None,
-                 blob_table: dict | None = None) -> None:
-    global _WORKER_REPLICA, _WORKER_PERF, _WORKER_SNAP, _WORKER_INIT_ERROR
-    # the initializer must never raise: multiprocessing.Pool responds to
-    # an initializer exception by silently respawning the worker forever,
-    # turning a bad spec into a hang.  Swallow the error here and let the
-    # first task report it instead.
-    try:
-        one_blas_thread()
-        _WORKER_PERF = PerfRegistry()
-        if wire is not None:
             from ..spec.blob import attach_transport_table
-            from ..spec.wire import decode_job
 
-            blobs = (
-                attach_transport_table(blob_table) if blob_table else None
+            _SHARED_BLOBS = attach_transport_table(blob_table)
+        except Exception:  # lint: disable=broad-except -- init failure is parked and re-raised with the first task
+            _SHARED_BLOBS_ERROR = traceback.format_exc()
+
+
+def _evaluate_shared_chunk(job: str, solutions):
+    start = time.perf_counter()
+    try:
+        if _SHARED_STATE is None or _SHARED_JOBS is None:
+            raise RuntimeError("shared pool worker not initialized")
+        if _SHARED_BLOBS_ERROR is not None:
+            raise RuntimeError(
+                "shared pool worker could not attach its blob table:\n"
+                f"{_SHARED_BLOBS_ERROR}"
             )
-            spec = decode_job(wire, blobs=blobs)
-        # a fresh process owns its (inherited or unpickled) spec outright
-        # — no copy needed even when the spec carries a model instance
-        _WORKER_REPLICA = spec.build(perf=_WORKER_PERF, copy_model=False)
-        _WORKER_SNAP = _WORKER_PERF.snapshot()
-        _WORKER_INIT_ERROR = None
-    except BaseException:  # lint: disable=broad-except -- worker-process boundary: init failure is parked and reported via the first result
-        import traceback
+        entry = _SHARED_STATE.get(job)
+        if entry is None:
+            spec = _SHARED_JOBS[job]
+            try:
+                if isinstance(spec, dict):
+                    from ..spec.wire import decode_job
 
-        _WORKER_REPLICA = None
-        _WORKER_INIT_ERROR = traceback.format_exc()
-
-
-def _evaluate_in_worker(solution):
-    global _WORKER_SNAP
-    if _WORKER_REPLICA is None:
-        raise RuntimeError(
-            "evaluator replica failed to initialize in worker:\n"
-            f"{_WORKER_INIT_ERROR or 'worker not initialized'}"
+                    spec = decode_job(spec, blobs=_SHARED_BLOBS)
+                # the worker owns everything it decodes or unpickles
+                entry = _build_entry(spec, copy_model=False)
+            except Exception as exc:
+                raise RuntimeError(
+                    f"evaluator replica for job {job!r} failed to "
+                    "initialize in worker"
+                ) from exc
+            _SHARED_STATE[job] = entry
+        fits, delta = _evaluate_with_entry(entry, solutions)
+        return fits, delta, time.perf_counter() - start, None
+    except Exception:  # lint: disable=broad-except -- worker boundary: failures travel home as error tuples
+        return (
+            None, None, time.perf_counter() - start, traceback.format_exc()
         )
-    fitness = _WORKER_REPLICA.evaluate_many([solution])[0]
-    snap = _WORKER_PERF.snapshot()
-    delta = diff_snapshots(snap, _WORKER_SNAP)
-    _WORKER_SNAP = snap
-    return fitness, delta
 
 
 class ProcessExecutor:
-    """Process-pool evaluation; workers rebuild replicas from the spec.
+    """Process-pool evaluation on the shared worker body, with a
+    one-job table.
 
     Wire-encodable specs ship as a content-addressed wire payload: the
     calibration batch and state dict go into the process-global
     :class:`~repro.spec.blob.BlobStore` and cross the pool boundary as
     shared-memory segments (zero-copy) or, where shm is unavailable, as
     a once-per-worker inline blob table.  Specs the wire codec rejects
-    (unimportable models, probe mismatches) fall back to the original
-    pickled-spec path, byte-identical to before.
+    (unimportable models, probe mismatches) travel as the pickled
+    :class:`EvaluatorSpec` instead.
     """
+
+    #: the one job name in this executor's worker table
+    _JOB = "search"
 
     def __init__(
         self,
@@ -367,8 +353,7 @@ class ProcessExecutor:
     ) -> None:
         self.workers = workers
         self.perf = perf
-        initargs = (spec,)
-        self._blob_table = None
+        table, blob_table = {self._JOB: spec}, None
         try:
             from ..spec.blob import (
                 account_transport,
@@ -379,29 +364,35 @@ class ProcessExecutor:
 
             store = get_blob_store()
             wire = encode_job(spec, blobs=store)
-            self._blob_table = blob_transport_table(store)
-            initargs = (None, wire, self._blob_table)
-            account_transport(perf, wire, self._blob_table, workers)
+            blob_table = blob_transport_table(store)
+            table = {self._JOB: wire}
+            account_transport(perf, wire, blob_table, workers)
         except ValueError:
-            pass  # not wire-encodable: pickle the spec as before
+            pass  # not wire-encodable: the worker unpickles the spec
         ctx = (
             multiprocessing.get_context(start_method)
             if start_method
             else multiprocessing.get_context()
         )
         self._pool = ctx.Pool(
-            processes=workers, initializer=_init_worker, initargs=initargs
+            processes=workers,
+            initializer=_init_shared_worker,
+            initargs=(table, blob_table),
         )
 
     def evaluate_batch(self, solutions) -> list[float]:
         results = []
         # chunksize 1: population slices are small (a handful of diversity
         # children), so per-candidate dispatch keeps all workers busy
-        for fitness, delta in self._pool.map(
-            _evaluate_in_worker, solutions, chunksize=1
+        for fits, delta, _, error in self._pool.starmap(
+            _evaluate_shared_chunk,
+            [(self._JOB, [sol]) for sol in solutions],
+            chunksize=1,
         ):
+            if error is not None:
+                raise RuntimeError(f"process worker failed:\n{error}")
             self.perf.merge_snapshot(delta)
-            results.append(fitness)
+            results.extend(fits)
         return results
 
     def close(self) -> None:
@@ -424,13 +415,6 @@ def make_executor(spec: EvaluatorSpec, config: ExecutorConfig, perf):
 # -- the built-in backends, in canonical order ---------------------------
 spec_registry.register(
     "executor", "serial", lambda spec, config, perf: SerialExecutor(spec, perf)
-)
-spec_registry.register(
-    "executor",
-    "thread",
-    lambda spec, config, perf: ThreadExecutor(
-        spec, config.resolved_workers(), perf
-    ),
 )
 spec_registry.register(
     "executor",

@@ -7,8 +7,8 @@ analogue) the *same* genetic search runs several ways:
   candidate (``FitnessConfig.fast`` off);
 * ``fast`` — the PR-1 incremental engine (fitness memo, quantized-weight
   + activation-quant caches, fused recalibration, prefix-reuse forwards);
-* one section per executor backend (``serial`` / ``thread`` /
-  ``process`` / ``remote``) — the incremental engine fanned out across
+* one section per executor backend (``serial`` / ``process`` /
+  ``remote``) — the incremental engine fanned out across
   worker replicas by :class:`repro.parallel.PopulationEvaluator`; the
   remote section measures the full socket transport against a
   localhost worker fleet (or ``addresses`` of an external one).
@@ -651,7 +651,7 @@ def _blas_section() -> dict:
     import numpy
 
     from ..parallel._blas import blas_threads
-    from ..serve.pool import _init_shared_worker
+    from ..parallel.executor import _init_shared_worker
 
     try:
         deps = numpy.show_config(mode="dicts")["Build Dependencies"]

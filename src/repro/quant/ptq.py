@@ -22,9 +22,9 @@ import numpy as np
 
 from ..nn import Module
 from ..numerics import LPParams
-from .fitness import FitnessConfig, FitnessEvaluator
+from .fitness import FitnessConfig
 from .genetic import LPQConfig, LPQEngine, SearchHistory
-from .objectives import OBJECTIVES, OutputObjectiveEvaluator
+from .objectives import OBJECTIVES
 from .params import QuantSolution
 from .quantizer import (
     LayerStats,
@@ -77,10 +77,10 @@ def lpq_quantize(
 
     ``executor`` (a :class:`repro.parallel.ExecutorConfig`) fans the
     population evaluation out across worker replicas — ``serial`` (the
-    default behaviour), ``thread``, or ``process`` backends.  Every
-    backend produces a bitwise-identical search trajectory; the knob only
-    changes wall-clock.  To quantize *several* models on one shared
-    worker pool, see :func:`repro.serve.lpq_quantize_many`.
+    default, also for ``None``), ``process`` or ``remote`` backends.
+    Every backend produces a bitwise-identical search trajectory; the
+    knob only changes wall-clock.  To quantize *several* models on one
+    shared worker pool, see :func:`repro.serve.lpq_quantize_many`.
 
     ``spec`` (a :class:`repro.spec.SearchSpec`, mutually exclusive with
     every other argument) runs a declarative search request instead: the
@@ -185,44 +185,23 @@ def _run_spec(
         raise ValueError(
             f"unknown objective {objective!r}; choose from {sorted(OBJECTIVES)}"
         )
-    if executor is not None:
-        # deferred import: repro.parallel builds on this package
-        from ..parallel import EvaluatorSpec, PopulationEvaluator
+    # deferred import: repro.parallel builds on this package
+    from ..parallel import EvaluatorSpec, PopulationEvaluator
 
-        espec = EvaluatorSpec(
-            images=calib_images,
-            model=model,
-            config=fitness_config,
-            objective=(
-                None if objective == "global_local_contrastive" else objective
-            ),
-            act_mode=act_sf_mode,
-            stats=stats,
-        )
-        with PopulationEvaluator(espec, executor) as evaluator:
-            engine = LPQEngine(evaluator, stats.weight_log_centers, config)
-            solution, fitness = engine.run()
-            evaluations = evaluator.evaluations
-    else:
-        if objective == "global_local_contrastive":
-            evaluator = FitnessEvaluator(
-                model, calib_images, stats.param_counts, fitness_config
-            )
-        else:
-            evaluator = OutputObjectiveEvaluator(
-                model, calib_images, stats.param_counts, objective,
-                fitness_config,
-            )
-
-        def evaluate_with_acts(solution):
-            # candidates are scored in their *deployed* configuration:
-            # weights and activations quantized together (activation
-            # params follow deterministically from the weight params,
-            # Section 4)
-            acts = derive_activation_params(solution, stats, mode=act_sf_mode)
-            return evaluator(solution, acts)
-
-        engine = LPQEngine(evaluate_with_acts, stats.weight_log_centers, config)
+    espec = EvaluatorSpec(
+        images=calib_images,
+        model=model,
+        config=fitness_config,
+        objective=(
+            None if objective == "global_local_contrastive" else objective
+        ),
+        act_mode=act_sf_mode,
+        stats=stats,
+    )
+    # executor=None is the serial backend: one in-process replica
+    # scoring the caller's model as-is (no copy)
+    with PopulationEvaluator(espec, executor) as evaluator:
+        engine = LPQEngine(evaluator, stats.weight_log_centers, config)
         solution, fitness = engine.run()
         evaluations = evaluator.evaluations
     act_params = derive_activation_params(solution, stats, mode=act_sf_mode)

@@ -10,7 +10,7 @@ searches share that machinery:
   :class:`~repro.spec.SearchSpec` via ``submit(name, spec=...)``),
   drives each job's :meth:`~repro.quant.LPQEngine.work_units`
   coroutine, and multiplexes every job's candidate chunks onto one
-  shared serial/thread/process pool with cost-adaptive chunking.
+  shared serial/process pool with cost-adaptive chunking.
   Per-job :class:`SearchHandle` futures; job-scoped failure and
   cancellation.
 * :func:`lpq_quantize_many` — one-call quantization of a model fleet
@@ -59,7 +59,6 @@ from .pool import (
     ChunkResult,
     SharedProcessPool,
     SharedSerialPool,
-    SharedThreadPool,
     WorkerPool,
     make_shared_pool,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "SharedProcessPool",
     "SharedRemotePool",
     "SharedSerialPool",
-    "SharedThreadPool",
     "WorkerPool",
     "WorkerServer",
     "lpq_quantize_many",

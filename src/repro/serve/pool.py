@@ -1,14 +1,13 @@
 """Shared multi-job executor pools for the search scheduler.
 
 The :mod:`repro.parallel` executors bind one pool to one
-:class:`~repro.parallel.EvaluatorSpec`: every worker builds a single
-replica at startup and all tasks score candidates for that one search.
-A :class:`repro.serve.SearchScheduler` instead keeps *many* searches in
-flight, so its pools multiplex: every task is tagged with a job id, and
-each worker lazily builds (and keeps) one replica *per job* it has seen
-— the same worker scores candidates for a ResNet search and a ViT
-search back to back, each against that job's own model copy, caches,
-and private perf registry.
+:class:`~repro.parallel.EvaluatorSpec`: all tasks score candidates for
+that one search.  A :class:`repro.serve.SearchScheduler` instead keeps
+*many* searches in flight, so its pools multiplex: every task is tagged
+with a job id, and each worker lazily builds (and keeps) one replica
+*per job* it has seen — the same worker scores candidates for a ResNet
+search and a ViT search back to back, each against that job's own
+model copy, caches, and private perf registry.
 
 **The WorkerPool protocol.**  Every pool implements the same small,
 transport-agnostic API (:class:`WorkerPool`): ``submit(job, seq, chunk,
@@ -23,17 +22,14 @@ thread.  Backends register in the ``shared_pool`` component registry
 
 * ``serial`` — :class:`SharedSerialPool`: one in-process replica per
   job; submit evaluates synchronously.  The zero-overhead baseline.
-* ``thread`` — :class:`SharedThreadPool`: N worker slots handed out
-  through a queue; each slot holds a ``job → replica`` map built on
-  first use (``copy_model=True``: slots mutate their models
-  independently).
 * ``process`` — :class:`SharedProcessPool`: a
   :class:`multiprocessing.pool.Pool` whose workers receive the full
   ``job → wire payload`` map at init and build replicas lazily per job
   on first task.  The payloads are plain JSON dicts
   (:func:`repro.spec.wire.encode_job`) — no pickled evaluator objects
   cross the pool boundary.  Only ``(job, candidates)`` and ``(fitness,
-  perf-delta)`` cross per task.
+  perf-delta)`` cross per task.  The worker body is the one
+  :class:`repro.parallel.ProcessExecutor` runs with a one-job table.
 * ``remote`` — :class:`repro.serve.remote.SharedRemotePool`: the same
   wire payloads framed over TCP sockets to standalone workers
   (``scripts/run_worker.py``), with token handshake, heartbeat
@@ -55,19 +51,21 @@ import multiprocessing
 import queue
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ..parallel import EvaluatorSpec, ExecutorConfig
-from ..parallel._blas import one_blas_thread
-from ..perf import PerfRegistry, diff_snapshots
+from ..parallel.executor import (
+    _build_entry,
+    _evaluate_shared_chunk,
+    _evaluate_with_entry,
+    _init_shared_worker,
+)
 from ..spec import registry as spec_registry
 
 __all__ = [
     "ChunkResult",
     "WorkerPool",
     "SharedSerialPool",
-    "SharedThreadPool",
     "SharedProcessPool",
     "encode_pool_wires",
     "make_shared_pool",
@@ -154,22 +152,6 @@ class WorkerPool(abc.ABC):
         self.close()
 
 
-def _evaluate_with_entry(entry, solutions):
-    """Score a chunk on one job-replica entry; returns (fits, delta)."""
-    replica, registry, last_snap = entry
-    fits = replica.evaluate_many(solutions)
-    snap = registry.snapshot()
-    delta = diff_snapshots(snap, last_snap[0])
-    last_snap[0] = snap
-    return fits, delta
-
-
-def _build_entry(spec: EvaluatorSpec, copy_model: bool):
-    registry = PerfRegistry()
-    replica = spec.build(perf=registry, copy_model=copy_model)
-    return (replica, registry, [registry.snapshot()])
-
-
 class SharedSerialPool(WorkerPool):
     """In-process multi-job pool; ``submit`` evaluates synchronously and
     enqueues the result before returning."""
@@ -204,121 +186,6 @@ class SharedSerialPool(WorkerPool):
 
     def close(self) -> None:
         pass
-
-
-class SharedThreadPool(WorkerPool):
-    """Thread-pool multi-job evaluation over per-slot replica maps.
-
-    Worker slots are handed out through a queue so each ``job →
-    replica`` map is used by exactly one task at a time; replicas are
-    built lazily the first time a slot sees a job.
-    """
-
-    def __init__(
-        self,
-        specs: dict[str, EvaluatorSpec],
-        workers: int,
-        results: queue.SimpleQueue,
-    ) -> None:
-        self.workers = workers
-        self._specs = dict(specs)
-        self._results = results
-        self._slots: queue.SimpleQueue = queue.SimpleQueue()
-        for _ in range(workers):
-            self._slots.put({})
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-serve"
-        )
-
-    def submit(self, job: str, seq: int, chunk: int, solutions) -> None:
-        self._pool.submit(self._run, job, seq, chunk, solutions)
-
-    def _run(self, job: str, seq: int, chunk: int, solutions) -> None:
-        slot = self._slots.get()
-        start = time.perf_counter()
-        try:
-            try:
-                entry = slot.get(job)
-                if entry is None:
-                    entry = _build_entry(self._specs[job], copy_model=True)
-                    slot[job] = entry
-                fits, delta = _evaluate_with_entry(entry, solutions)
-                result = ChunkResult(
-                    job, seq, chunk, fits, delta, time.perf_counter() - start
-                )
-            except Exception:  # lint: disable=broad-except -- worker boundary: any evaluation failure becomes an error ChunkResult
-                result = ChunkResult(
-                    job, seq, chunk, None, None, time.perf_counter() - start,
-                    error=traceback.format_exc(),
-                )
-        finally:
-            self._slots.put(slot)
-        self._results.put(result)
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
-# -- process backend ----------------------------------------------------
-# Worker state lives in module globals: each worker receives the full
-# job → wire-payload map (plain JSON dicts, repro.spec.wire) once at
-# init and reconstructs EvaluatorSpecs + replicas lazily per job.  A
-# payload whose replica fails to decode or build fails *its own job's*
-# tasks (the error travels back inside the result tuple) — the worker
-# survives and keeps serving other jobs.
-_SHARED_WIRES: dict[str, dict] | None = None
-_SHARED_STATE: dict[str, tuple] | None = None
-_SHARED_BLOBS = None
-_SHARED_BLOBS_ERROR: str | None = None
-
-
-def _init_shared_worker(wires: dict[str, dict],
-                        blob_table: dict | None = None) -> None:
-    global _SHARED_WIRES, _SHARED_STATE, _SHARED_BLOBS, _SHARED_BLOBS_ERROR
-    # plain assignments first: a raising initializer would respawn
-    # workers forever, so payload decoding and replica construction are
-    # deferred to the first task per job, and a blob-table attach
-    # failure is parked for the task to report
-    _SHARED_WIRES = wires
-    _SHARED_STATE = {}
-    _SHARED_BLOBS = None
-    _SHARED_BLOBS_ERROR = None
-    one_blas_thread()
-    if blob_table:
-        try:
-            from ..spec.blob import attach_transport_table
-
-            _SHARED_BLOBS = attach_transport_table(blob_table)
-        except Exception:  # lint: disable=broad-except -- init failure is parked and re-raised with the first task
-            _SHARED_BLOBS_ERROR = traceback.format_exc()
-
-
-def _evaluate_shared_chunk(job: str, solutions):
-    start = time.perf_counter()
-    try:
-        if _SHARED_STATE is None or _SHARED_WIRES is None:
-            raise RuntimeError("shared pool worker not initialized")
-        if _SHARED_BLOBS_ERROR is not None:
-            raise RuntimeError(
-                "shared pool worker could not attach its blob table:\n"
-                f"{_SHARED_BLOBS_ERROR}"
-            )
-        entry = _SHARED_STATE.get(job)
-        if entry is None:
-            from ..spec.wire import decode_job
-
-            # the worker owns everything it decodes from the wire
-            entry = _build_entry(
-                decode_job(_SHARED_WIRES[job], blobs=_SHARED_BLOBS),
-                copy_model=False,
-            )
-            _SHARED_STATE[job] = entry
-        fits, delta = _evaluate_with_entry(entry, solutions)
-        return fits, delta, time.perf_counter() - start, None
-    except Exception:  # lint: disable=broad-except -- worker boundary: failures travel home as error tuples
-        return (
-            None, None, time.perf_counter() - start, traceback.format_exc()
-        )
 
 
 class SharedProcessPool(WorkerPool):
@@ -432,13 +299,13 @@ def make_shared_pool(
     """Build and start the shared pool selected by ``config`` (same
     :class:`~repro.parallel.ExecutorConfig` as single-job executors).
 
-    The serial and thread pools share this process's memory and use the
-    live specs directly; the process and remote pools serialize — their
+    The serial pool shares this process's memory and uses the live
+    specs directly; the process and remote pools serialize — their
     jobs travel as the plain-JSON wire payloads of
     :func:`encode_pool_wires`.  Backends dispatch through the
     ``shared_pool`` registry (:mod:`repro.spec.registry`), so a
     registered extension backend — a factory ``(specs, config, results,
-    search_specs) -> WorkerPool`` — slots in next to the built-in four.
+    search_specs) -> WorkerPool`` — slots in next to the built-in three.
     """
     factory = spec_registry.resolve("shared_pool", config.backend)
     return factory(specs, config, results, search_specs).start()
@@ -452,13 +319,6 @@ spec_registry.register(
     "serial",
     lambda specs, config, results, search_specs: SharedSerialPool(
         specs, results
-    ),
-)
-spec_registry.register(
-    "shared_pool",
-    "thread",
-    lambda specs, config, results, search_specs: SharedThreadPool(
-        specs, config.resolved_workers(), results
     ),
 )
 def _make_shared_process_pool(specs, config, results, search_specs):

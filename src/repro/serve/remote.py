@@ -65,6 +65,7 @@ import warnings
 from ..obs import MetricsEmitter, get_hub
 from ..parallel import EvaluatorSpec, ExecutorConfig, parse_address
 from ..parallel._blas import one_blas_thread
+from ..parallel.executor import _build_entry, _evaluate_with_entry
 from ..perf import PerfRegistry
 from ..spec import registry as spec_registry
 from ..spec.blob import BlobStore, get_blob_store
@@ -89,13 +90,7 @@ from ..spec.wire import (
     task_message,
     welcome_message,
 )
-from .pool import (
-    ChunkResult,
-    WorkerPool,
-    _build_entry,
-    _evaluate_with_entry,
-    encode_pool_wires,
-)
+from .pool import ChunkResult, WorkerPool, encode_pool_wires
 from .resilience import RetryPolicy
 
 __all__ = [

@@ -7,7 +7,7 @@ transport (:mod:`repro.spec.wire`): after the hello/welcome handshake
 they issue ``submit`` / ``status`` / ``result`` / ``cancel`` /
 ``list_jobs`` / ``subscribe`` requests, and the daemon multiplexes
 accepted jobs onto one :class:`~repro.serve.SearchScheduler` over any
-worker-pool backend (serial / thread / process / remote).  Unlike the
+worker-pool backend (serial / process / remote).  Unlike the
 worker transport, a malformed or unknown request gets an ``ok=false``
 reply and the session *survives* — a service front door cannot let one
 bad client frame kill the conversation.

@@ -20,7 +20,7 @@ import order:
 
 >>> from repro.spec import registry
 >>> registry.names("executor")
-('serial', 'thread', 'process', 'remote')
+('serial', 'process', 'remote')
 >>> registry.resolve("objective", "mse")
 'MSE'
 >>> _ = registry.register("model", "my-model", lambda: None, replace=True)

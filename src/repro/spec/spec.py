@@ -278,7 +278,7 @@ class SearchSpec:
         >>> a = SearchSpec(model="tiny:mlp", calib=CalibSpec(batch=4))
         >>> b = SearchSpec(model="tiny:mlp", calib=CalibSpec(batch=4),
         ...                name="other-label",
-        ...                executor=ExecutorConfig("thread", workers=2))
+        ...                executor=ExecutorConfig("process", workers=2))
         >>> a.digest() == b.digest()  # same search, same digest
         True
         >>> a.digest() == SearchSpec(model="tiny:mlp",

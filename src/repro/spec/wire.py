@@ -591,7 +591,15 @@ def _encode_model_instance(model, probe_input=None) -> dict:
             "or a model carrying a wire_builder tag"
         )
     probe = cls()
-    probe.load_state_dict(model.state_dict())  # key/shape drift fails here
+    try:
+        probe.load_state_dict(model.state_dict())
+    except KeyError as exc:  # cls() built a different architecture
+        raise ValueError(
+            f"{cls.__module__}.{cls.__qualname__}() does not rebuild this "
+            f"instance's parameters ({exc.args[0]}); submit a registered "
+            "model name, a module-level builder callable, or a model "
+            "carrying a wire_builder tag"
+        ) from exc
     if probe_input is not None:
         probe.eval()
         # compare in eval mode (a train-mode BN forward would mutate the

@@ -160,8 +160,9 @@ class TestUnsupportedModels:
 
 
 class TestThreadIsolation:
-    """The active-replay state must be thread-local: parallel population
-    evaluation runs one replica (and one ForwardCache) per thread."""
+    """The active-replay state must be thread-local: in-process workers
+    (a local worker fleet) run one replica (and one ForwardCache) per
+    thread."""
 
     def test_active_replay_not_visible_across_threads(self, model, x):
         import threading

@@ -34,3 +34,28 @@ class ParBNCNN(nn.Module):
 def build_par_model() -> nn.Module:
     """Module-level builder so EvaluatorSpec can pickle it by reference."""
     return ParBNCNN()
+
+
+class WidthBNCNN(nn.Module):
+    """BN CNN whose width is a required constructor argument.
+
+    The wire codec cannot rebuild it from its class name, so the process
+    backend ships its :class:`~repro.parallel.EvaluatorSpec` pickled.
+    """
+
+    def __init__(self, width):
+        super().__init__()
+        self.features = nn.Sequential(
+            nn.Conv2d(3, width, 3, padding=1, bias=False),
+            nn.BatchNorm2d(width),
+            nn.ReLU(),
+            nn.MaxPool2d(2),
+            nn.Conv2d(width, width, 3, padding=1, bias=False),
+            nn.BatchNorm2d(width),
+            nn.ReLU(),
+        )
+        self.pool = nn.GlobalAvgPool()
+        self.head = nn.Linear(width, 8)
+
+    def forward(self, x):
+        return self.head(self.pool(self.features(x)))

@@ -2,8 +2,8 @@
 
 The hard guarantee of the parallel population engine: the genetic search
 produces a bitwise-identical :class:`SearchHistory` no matter which
-backend scores the candidates — serial, thread pool, or process pool —
-and no matter how many workers share the batch.  The engine draws all
+backend scores the candidates — serial or process pool — and no
+matter how many workers share the batch.  The engine draws all
 candidate RNG before any evaluation runs, and every replica's fast path
 is bitwise-equal to the reference path, so fan-out must not move a
 single bit.
@@ -70,7 +70,6 @@ class TestBackendDeterminism:
         assert sol == sol_ref
 
     @pytest.mark.parametrize("backend,workers", [
-        ("thread", 2),
         ("process", 2),
         ("process", 3),
     ])
@@ -135,9 +134,39 @@ class TestLpqQuantizeExecutor:
         res_default = lpq_quantize(
             model, images, config=config, objective="mse"
         )
-        res_thread = lpq_quantize(
+        res_process = lpq_quantize(
             model, images, config=config, objective="mse",
-            executor=ExecutorConfig("thread", workers=2),
+            executor=ExecutorConfig("process", workers=2),
         )
-        assert np.isfinite(res_thread.fitness)
-        assert res_default.fitness == res_thread.fitness
+        assert np.isfinite(res_process.fitness)
+        assert res_default.fitness == res_process.fitness
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_pickled_spec_route_matches_serial(self, start_method):
+        """A model the wire codec rejects (required constructor
+        argument) reaches process workers as the pickled spec, and the
+        search stays bitwise-equal to serial."""
+        from repro.quant import lpq_quantize
+        from repro.spec.wire import encode_job
+
+        from .parmodels import WidthBNCNN
+
+        nn.seed(12)
+        model = WidthBNCNN(5)
+        model.eval()
+        images = calibration_batch(8, seed=6)
+        with pytest.raises(ValueError, match="constructor argument"):
+            encode_job(EvaluatorSpec(images=images, model=model))
+        config = LPQConfig(population=3, passes=1, cycles=1, block_size=2,
+                           diversity_parents=2, hw_widths=(4, 8), seed=4)
+        serial = lpq_quantize(model, images, config=config)
+        process = lpq_quantize(
+            model, images, config=config,
+            executor=ExecutorConfig("process", workers=2,
+                                    start_method=start_method),
+        )
+        assert process.solution == serial.solution
+        assert process.fitness == serial.fitness
+        assert process.history.best_fitness == serial.history.best_fitness
+        assert process.history.mean_bits == serial.history.mean_bits
+        assert process.evaluations == serial.evaluations

@@ -83,7 +83,7 @@ class TestBackendsAgree:
         )
         return executor.evaluate_batch(candidates)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_backend_matches_serial_in_order(
         self, par_setup, candidates, backend
     ):

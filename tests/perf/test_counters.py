@@ -118,10 +118,10 @@ class TestSnapshotUnderMutation:
                 t.join()
         assert not errors, errors
 
-    def test_snapshot_during_thread_backend_search(self):
+    def test_snapshot_during_process_backend_search(self):
         """The real-world trigger: sampling the live registry while a
-        thread-backend search creates metrics on worker threads (what a
-        MetricsEmitter does every tick)."""
+        process-backend search creates metrics from merged worker deltas
+        (what a MetricsEmitter does every tick)."""
         from repro.obs import MetricsEmitter
         from repro.parallel import ExecutorConfig
         from repro.quant import LPQConfig, lpq_quantize
@@ -135,18 +135,18 @@ class TestSnapshotUnderMutation:
             config=config, seed=5,
         )
         ref = lpq_quantize(spec=spec)
-        threaded = SearchSpec(
+        pooled = SearchSpec(
             model="tiny:mlp", calib=CalibSpec(batch=4, seed=3),
             config=config, seed=5,
-            executor=ExecutorConfig("thread", workers=2),
+            executor=ExecutorConfig("process", workers=2),
         )
         perf = reset_perf()  # ambient registry: what the search mutates
         samples: list[dict] = []
         emitter = MetricsEmitter(perf, samples.append, interval_s=0.001,
-                                 source="test:thread-search")
+                                 source="test:process-search")
         emitter.start()
         try:
-            got = lpq_quantize(spec=threaded)
+            got = lpq_quantize(spec=pooled)
         finally:
             emitter.stop()
             reset_perf()

@@ -47,7 +47,6 @@ def two_specs(serve_setup):
 class TestSharedPools:
     @pytest.mark.parametrize("backend,workers", [
         ("serial", None),
-        ("thread", 2),
         ("process", 2),
     ])
     def test_two_jobs_tagged_results(self, two_specs, backend, workers):
@@ -82,10 +81,10 @@ class TestSharedPools:
             # the worker ships a perf delta for exactly its chunk
             assert first.perf_delta["timers"]["fitness.evaluate"]["count"] == 2
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_failing_job_does_not_poison_pool(self, two_specs, backend):
         """A replica that raises fails its own chunk; the same pool (and
-        for thread/process the same workers) keeps serving other jobs."""
+        for process the same workers) keeps serving other jobs."""
         images = two_specs["cnn"].images
         specs = dict(two_specs)
         specs["bad"] = _spec(build_failing_cnn, images)

@@ -146,7 +146,7 @@ class TestAddresses:
 
     def test_addresses_rejected_on_local_backends(self):
         with pytest.raises(ValueError, match="only apply to the remote"):
-            ExecutorConfig("thread", addresses=("127.0.0.1:1",))
+            ExecutorConfig("process", addresses=("127.0.0.1:1",))
 
     def test_remote_config_roundtrips_as_json(self):
         config = ExecutorConfig(

@@ -27,7 +27,6 @@ def _standalone(model, images, config=SEARCH):
 class TestSchedulerDeterminism:
     @pytest.mark.parametrize("backend,workers", [
         ("serial", None),
-        ("thread", 2),
         ("process", 2),
         ("process", 3),
     ])
@@ -66,7 +65,7 @@ class TestSchedulerDeterminism:
         for target_chunk_s in (1e-9, 1e9):
             reset_perf()
             scheduler = SearchScheduler(
-                executor=ExecutorConfig("thread", workers=2),
+                executor=ExecutorConfig("process", workers=2),
                 target_chunk_s=target_chunk_s,
             )
             scheduler.submit("cnn", cnn, images, config=SEARCH)
@@ -265,7 +264,7 @@ class TestSchedulerStats:
     def test_stats_before_and_after_run(self, serve_setup):
         cnn, mlp, images = serve_setup
         scheduler = SearchScheduler(
-            executor=ExecutorConfig("thread", workers=2)
+            executor=ExecutorConfig("process", workers=2)
         )
         scheduler.submit("cnn", cnn, images, config=SEARCH)
         scheduler.submit("mlp", mlp, images, config=SEARCH)
@@ -297,7 +296,7 @@ class TestSchedulerStats:
         cnn, _, images = serve_setup
         seen: list[dict] = []
         scheduler = SearchScheduler(
-            executor=ExecutorConfig("thread", workers=2),
+            executor=ExecutorConfig("process", workers=2),
             on_batch=lambda name, info: seen.append(scheduler.stats()),
         )
         scheduler.submit("cnn", cnn, images, config=SEARCH)

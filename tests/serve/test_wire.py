@@ -241,6 +241,35 @@ class TestPoolProtocolIsJson:
         with pytest.raises(ValueError, match="'doomed'"):
             encode_pool_wires({"doomed": espec})
 
+    def test_sequential_instance_is_a_value_error(self, serve_setup):
+        """``Sequential()`` rebuilds empty from its class name, so the
+        state dict cannot load.  Encoding refuses with a ValueError
+        (not load_state_dict's KeyError): a single process search takes
+        the pickled-spec route, a scheduler names the job."""
+        from repro import nn
+
+        _, _, images = serve_setup
+        nn.seed(33)
+        model = nn.Sequential(
+            nn.Conv2d(3, 4, 3, padding=1, bias=False),
+            nn.BatchNorm2d(4), nn.ReLU(),
+            nn.GlobalAvgPool(), nn.Linear(4, 4)).eval()
+        with pytest.raises(ValueError, match="does not rebuild"):
+            encode_job(EvaluatorSpec(images=images, model=model))
+        serial = lpq_quantize(model, images, config=SEARCH)
+        process = lpq_quantize(
+            model, images, config=SEARCH,
+            executor=ExecutorConfig("process", workers=2),
+        )
+        assert process.solution == serial.solution
+        assert process.fitness == serial.fitness
+        assert process.history.best_fitness == serial.history.best_fitness
+        assert process.evaluations == serial.evaluations
+        scheduler = SearchScheduler(ExecutorConfig("process", workers=2))
+        scheduler.submit("seq", model, images, config=SEARCH)
+        with pytest.raises(ValueError, match="job 'seq' cannot cross"):
+            scheduler.run()
+
 
 _scalars = st.one_of(
     st.none(),
@@ -389,7 +418,6 @@ class TestFrameTooLarge:
 class TestSpecSubmissionEndToEnd:
     @pytest.mark.parametrize("backend,workers", [
         ("serial", None),
-        ("thread", 2),
         ("process", 2),
     ])
     def test_spec_job_bitwise_equals_standalone(self, backend, workers):

@@ -71,12 +71,12 @@ class TestModuleLevelApi:
 
     def test_builtin_executors(self):
         assert registry.names("executor") == (
-            "serial", "thread", "process", "remote"
+            "serial", "process", "remote"
         )
 
     def test_builtin_shared_pools(self):
         assert registry.names("shared_pool") == (
-            "serial", "thread", "process", "remote"
+            "serial", "process", "remote"
         )
 
     def test_builtin_objectives_bootstrap_on_lookup(self):

@@ -4,7 +4,7 @@
 :class:`~repro.spec.SearchSpec` and runs it through the same engine as
 ``lpq_quantize(spec=...)``.  These tests pin the acceptance criterion:
 the two call styles produce bitwise-identical :class:`LPQResult`s
-(solution, history, fitness) on serial, thread, and process backends.
+(solution, history, fitness) on serial and process backends.
 """
 
 import pytest
@@ -31,7 +31,6 @@ def assert_same_result(got, ref):
 class TestShimEquivalence:
     @pytest.mark.parametrize("backend,workers", [
         ("serial", None),
-        ("thread", 2),
         ("process", 2),
     ])
     def test_legacy_kwargs_equal_spec_path(self, backend, workers):

@@ -56,7 +56,7 @@ fitness_configs = st.builds(
 
 executor_configs = st.builds(
     ExecutorConfig,
-    backend=st.sampled_from(["serial", "thread", "process"]),
+    backend=st.sampled_from(["serial", "process"]),
     workers=st.one_of(st.none(), st.integers(1, 8)),
 )
 
@@ -148,7 +148,7 @@ class TestRoundTrippedSpecRunsIdentically:
             model="tiny:mlp", calib=CalibSpec(batch=4),
             config=LPQConfig(population=3, passes=1, cycles=1,
                              diversity_parents=2, hw_widths=(4, 8)),
-            objective="mse", executor=ExecutorConfig("thread", workers=2),
+            objective="mse", executor=ExecutorConfig("process", workers=2),
             seed=5, name="roundtrip",
         )
         path = spec.dump(tmp_path / "spec.json")

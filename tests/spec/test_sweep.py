@@ -136,7 +136,7 @@ class TestDigest:
         spec = self._spec()
         assert spec.digest() == self._spec(
             name="label",
-            executor=ExecutorConfig("thread", workers=2),
+            executor=ExecutorConfig("process", workers=2),
         ).digest()
 
     def test_sensitive_to_search_content(self):
