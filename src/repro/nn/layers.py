@@ -189,11 +189,12 @@ class BatchNorm2d(Module):
             mean, var = self.running_mean, self.running_var
             d = x - mean[None, :, None, None]
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = d * inv_std[None, :, None, None]
+        # d is fresh, and no operand is wider than it: in place, same bits
+        xhat = np.multiply(d, inv_std[None, :, None, None], out=d)
         self._cache = (xhat, inv_std)
-        return self.gamma.data[None, :, None, None] * xhat + self.beta.data[
-            None, :, None, None
-        ]
+        out = self.gamma.data[None, :, None, None] * xhat
+        out += self.beta.data[None, :, None, None]
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         assert self._cache is not None
@@ -222,11 +223,14 @@ class LayerNorm(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
+        d = x - mean
+        var = (d * d).mean(axis=-1, keepdims=True)  # x.var's ops: the same bits
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean) * inv_std
+        xhat = np.multiply(d, inv_std, out=d)
         self._cache = (xhat, inv_std)
-        return self.gamma.data * xhat + self.beta.data
+        out = self.gamma.data * xhat
+        out += self.beta.data
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         assert self._cache is not None
@@ -244,15 +248,19 @@ class LayerNorm(Module):
 class ReLU(Module):
     def __init__(self) -> None:
         super().__init__()
-        self._mask: np.ndarray | None = None
+        self._out: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        # np.where(x > 0, x, 0.0) bit for bit: fmax maps NaN to 0 but may
+        # keep a -0.0, which adding +0.0 turns into +0.0
+        out = np.fmax(x, 0.0)
+        out += 0.0
+        self._out = out
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        assert self._mask is not None
-        return grad * self._mask
+        assert self._out is not None
+        return grad * (self._out > 0)  # out > 0 exactly where x > 0
 
 
 class GELU(Module):
@@ -282,7 +290,18 @@ class MaxPool2d(Module):
         b, c, h, w = x.shape
         if h % k or w % k:
             raise ValueError(f"spatial dims {h}x{w} not divisible by pool {k}")
-        out = x.reshape(b, c, h // k, k, w // k, k).max(axis=(3, 5))
+        if w > k and k <= 3:
+            # k² strided maxima in row-major window order: the order of
+            # numpy's scalar max-reduction over these short rows, so the
+            # same bits, down to which zero of a ±0 tie survives
+            views = [x[:, :, i::k, j::k] for i in range(k) for j in range(k)]
+            out = views[0].copy()
+            for v in views[1:]:
+                np.maximum(out, v, out=out)
+        else:
+            # numpy vectorizes a reduction over a long contiguous run, and
+            # a ±0 tie then follows its lane order: keep its own reduction
+            out = x.reshape(b, c, h // k, k, w // k, k).max(axis=(3, 5))
         self._cache = (x, out)
         return out
 

@@ -26,11 +26,11 @@ def clamp_lp_params(
     ``hw_widths`` optionally restricts ``n`` to hardware-packable widths
     (powers of two for LPA's MODE-A/B/C weight packing, Section 5.1).
     """
-    n = int(np.clip(n, N_MIN, N_MAX))
+    n = int(min(max(n, N_MIN), N_MAX))
     if hw_widths is not None:
         n = min(hw_widths, key=lambda w: (abs(w - n), w))
-    es = int(np.clip(es, ES_MIN, max(n - 3, 0)))
-    rs = int(np.clip(rs, RS_MIN, max(n - 1, RS_MIN)))
+    es = int(min(max(es, ES_MIN), max(n - 3, 0)))
+    rs = int(min(max(rs, RS_MIN), max(n - 1, RS_MIN)))
     return LPParams(n=n, es=es, rs=rs, sf=float(sf))
 
 

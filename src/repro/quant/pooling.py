@@ -20,14 +20,14 @@ def kurtosis3(x: np.ndarray, axis: int = -1, eps: float = 1e-12) -> np.ndarray:
 
     Constant rows (σ ≈ 0) pool to 0 rather than blowing up.
     """
-    x = np.asarray(x, dtype=np.float64)
-    mean = x.mean(axis=axis, keepdims=True)
-    centered = x - mean
-    sq = centered * centered
+    x = np.array(x, dtype=np.float64)  # a private copy, centred and squared in place
+    x -= x.mean(axis=axis, keepdims=True)
+    x *= x
+    var = x.mean(axis=axis)
     # the fourth moment squares the squares: elementwise pow(x, 4) goes
     # through libm and is ~8x slower than two multiplies
-    var = sq.mean(axis=axis)
-    fourth = (sq * sq).mean(axis=axis)
+    x *= x
+    fourth = x.mean(axis=axis)
     out = np.zeros_like(var)
     ok = var > eps
     out[ok] = fourth[ok] / (var[ok] ** 2) - 3.0

@@ -1,12 +1,17 @@
-"""Bitwise tests of the MaxPool2d and BatchNorm2d forwards.
+"""Bitwise tests of the non-GEMM layer kernels: MaxPool2d, ReLU,
+BatchNorm2d and LayerNorm.
 
-``MaxPool2d.forward`` computes only the window max; ``backward``
-rebuilds the first-max mask from the cached input and output.
-``BatchNorm2d.forward`` in training mode computes ``x - mean`` once and
-derives the batch variance from it.  Both must give exactly the bits of
-the versions they replaced, which live on here, copied verbatim, as the
-reference: the pool built its tie-broken mask in forward, and the norm
-called ``x.mean``/``x.var``.
+``MaxPool2d.forward`` takes k² strided maxima and caches ``(x, out)``;
+``backward`` rebuilds the first-max mask from them.  ``ReLU.forward`` is
+an ``fmax`` that caches its output.  ``BatchNorm2d.forward`` and
+``LayerNorm.forward`` compute ``x - mean`` once, derive the variance
+from it and normalise it in place.  Each must give exactly the bits of
+the version it replaced, which lives on here, copied verbatim, as the
+reference: the pool reduced with a multi-axis ``max`` and built its
+tie-broken mask in forward, the ReLU called ``np.where``, the norms
+called ``x.mean``/``x.var`` and built fresh temporaries.  Bits are
+compared as unsigned integers, because ``assert_array_equal`` treats
+-0.0 and +0.0 (and any two NaNs) as equal.
 """
 
 import copy
@@ -34,6 +39,40 @@ def reference_maxpool(x, k, grad):
     return out, g.reshape(b, c, h, w)
 
 
+def reference_batchnorm_eval(bn, x):
+    mean, var = bn.running_mean, bn.running_var
+    d = x - mean[None, :, None, None]
+    inv_std = 1.0 / np.sqrt(var + bn.eps)
+    xhat = d * inv_std[None, :, None, None]
+    bn._cache = (xhat, inv_std)
+    return bn.gamma.data[None, :, None, None] * xhat + bn.beta.data[
+        None, :, None, None
+    ]
+
+
+def reference_layernorm(ln, x):
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + ln.eps)
+    xhat = (x - mean) * inv_std
+    ln._cache = (xhat, inv_std)
+    return ln.gamma.data * xhat + ln.beta.data
+
+
+def reference_relu(x, grad):
+    mask = x > 0
+    return np.where(mask, x, 0.0), grad * mask
+
+
+def assert_bits_equal(got, want):
+    """Equal dtype, shape and bit pattern: -0.0 != +0.0, NaN == NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    uint = np.dtype(f"u{got.dtype.itemsize}")
+    np.testing.assert_array_equal(got.view(uint), want.view(uint))
+
+
 def reference_batchnorm_train(bn, x):
     mean = x.mean(axis=(0, 2, 3))
     var = x.var(axis=(0, 2, 3))
@@ -48,6 +87,9 @@ def reference_batchnorm_train(bn, x):
 
 
 # -- MaxPool2d -----------------------------------------------------------
+SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0]
+
+
 def _pool_inputs(dtype):
     rng = np.random.default_rng(0)
     relu = np.maximum(rng.standard_normal((2, 3, 8, 8)), 0)  # all-zero windows
@@ -56,7 +98,13 @@ def _pool_inputs(dtype):
     dup[0, 0, :2, :2] = 5.0  # a window whose four entries all tie
     dup[0, 0, 2, 3] = dup[0, 0, 3, 2] = 1.0  # two maxima, second row first
     smooth = rng.standard_normal((1, 4, 6, 6))
-    return [a.astype(dtype) for a in (relu, coarse, dup, smooth)]
+    # windows of signed zeros, NaNs and infinities, in every arrangement
+    # a random draw gives; the second set ties only ±0 against each other
+    special = rng.choice(SPECIAL, (2, 5, 12, 12))
+    zeros = rng.choice([0.0, -0.0], (3, 4, 6, 12))
+    return [
+        a.astype(dtype) for a in (relu, coarse, dup, smooth, special, zeros)
+    ]
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=["f32", "f64"])
@@ -70,10 +118,45 @@ def test_maxpool_matches_reference(dtype, k):
         out = pool(x)
         grad = rng.standard_normal(out.shape).astype(dtype)
         want_out, want_dx = reference_maxpool(x, k, grad)
-        np.testing.assert_array_equal(out, want_out)
-        dx = pool.backward(grad)
-        assert dx.dtype == want_dx.dtype
-        np.testing.assert_array_equal(dx, want_dx)
+        assert_bits_equal(out, want_out)
+        assert_bits_equal(pool.backward(grad), want_dx)
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=["f32", "f64"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_maxpool_negative_nan_stays_nan(dtype, k):
+    """The one difference: numpy's max-reduction may hand back a -NaN
+    (what x86 makes of inf - inf) as +NaN, where np.maximum keeps the
+    NaN it was given.  NaNs land in the same places, with the same
+    gradients (none); every other output bit is equal."""
+    rng = np.random.default_rng(k)
+    x = rng.choice(SPECIAL + [-np.nan], (2, 3, 6 * k, 4 * k)).astype(dtype)
+    pool = nn.MaxPool2d(k)
+    out = pool(x)
+    grad = rng.standard_normal(out.shape).astype(dtype)
+    want_out, want_dx = reference_maxpool(x, k, grad)
+    nan = np.isnan(want_out)
+    np.testing.assert_array_equal(np.isnan(out), nan)
+    assert_bits_equal(out[~nan], want_out[~nan])
+    assert_bits_equal(pool.backward(grad), want_dx)
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=["f32", "f64"])
+@pytest.mark.parametrize("k,ow", [(3, 1), (5, 1), (8, 2), (16, 2)])
+def test_maxpool_long_runs_keep_numpy_reduction(dtype, k, ow):
+    """A window that spans a whole row (ow == 1), or a window row of 4
+    or more, is a run numpy may vectorize its max-reduction over (with
+    AVX-512 it does from 8 float64 or 16 float32 lanes).  The sign of a
+    ±0 tie then follows its lane order, which k² strided maxima do not
+    reproduce, so the pool keeps the reduction there."""
+    rng = np.random.default_rng(k * 10 + ow)
+    x = rng.choice([0.0, -0.0], (2, 3, 2 * k, ow * k)).astype(dtype)
+    pool = nn.MaxPool2d(k)
+    out = pool(x)
+    grad = rng.standard_normal(out.shape).astype(dtype)
+    want_out, want_dx = reference_maxpool(x, k, grad)
+    assert_bits_equal(out, want_out)
+    assert_bits_equal(pool.backward(grad), want_dx)
 
 
 def test_maxpool_ties_route_to_first_max():
@@ -82,6 +165,24 @@ def test_maxpool_ties_route_to_first_max():
     pool(x)
     dx = pool.backward(np.ones((1, 1, 1, 1)))
     np.testing.assert_array_equal(dx, [[[[1.0, 0.0], [0.0, 0.0]]]])
+
+
+# -- ReLU ----------------------------------------------------------------
+@pytest.mark.parametrize("dtype", DTYPES, ids=["f32", "f64"])
+def test_relu_matches_reference(dtype):
+    """Every length up to a few SIMD vectors (so every tail), contiguous
+    and strided, on signed zeros, NaNs, infinities and subnormals."""
+    rng = np.random.default_rng(3)
+    tiny = np.finfo(dtype).smallest_subnormal
+    values = np.array(SPECIAL + [-np.nan, tiny, -tiny], dtype=dtype)
+    for n in list(range(1, 70)) + [1000]:
+        base = rng.choice(values, (3, n))
+        for x in (base[0], base[:, ::2], base.T, base[:, ::-1]):
+            grad = rng.standard_normal(x.shape).astype(dtype)
+            relu = nn.ReLU()
+            want_out, want_dx = reference_relu(x, grad)
+            assert_bits_equal(relu(x), want_out)
+            assert_bits_equal(relu.backward(grad), want_dx)
 
 
 # -- BatchNorm2d ---------------------------------------------------------
@@ -103,12 +204,21 @@ def test_batchnorm_train_matches_reference(dtype, shape):
         x = (rng.standard_normal(shape) * rng.uniform(0.1, 10) + loc).astype(dtype)
         out = bn(x)
         want = reference_batchnorm_train(ref, x)
-        assert out.dtype == want.dtype
-        np.testing.assert_array_equal(out, want)
-        np.testing.assert_array_equal(bn.running_mean, ref.running_mean)
-        np.testing.assert_array_equal(bn.running_var, ref.running_var)
+        assert_bits_equal(out, want)
+        assert_bits_equal(bn.running_mean, ref.running_mean)
+        assert_bits_equal(bn.running_var, ref.running_var)
+        for got, want in zip(bn._cache, ref._cache):
+            assert_bits_equal(got, want)
         grad = rng.standard_normal(shape).astype(dtype)
-        np.testing.assert_array_equal(bn.backward(grad), ref.backward(grad))
+        assert_bits_equal(bn.backward(grad), ref.backward(grad))
+    bn.eval()
+    ref.eval()
+    x = (rng.standard_normal(shape) * 3).astype(dtype)
+    assert_bits_equal(bn(x), reference_batchnorm_eval(ref, x))
+    for got, want in zip(bn._cache, ref._cache):
+        assert_bits_equal(got, want)
+    grad = rng.standard_normal(shape).astype(dtype)
+    assert_bits_equal(bn.backward(grad), ref.backward(grad))
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=["f32", "f64"])
@@ -124,3 +234,26 @@ def test_batchnorm_variance_is_ndarray_var(dtype):
         bn.train()
         bn(x)
         np.testing.assert_array_equal(bn.running_var, x.var(axis=(0, 2, 3)))
+
+
+# -- LayerNorm -----------------------------------------------------------
+LN_SHAPES = [(4, 17), (2, 65, 32), (3, 5, 7, 64), (1, 1), (16, 65, 256)]
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=["f32", "f64"])
+@pytest.mark.parametrize("shape", LN_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_layernorm_matches_reference(dtype, shape):
+    nn.set_default_dtype(dtype)
+    rng = np.random.default_rng(sum(shape))
+    ln = nn.LayerNorm(shape[-1])
+    ln.gamma.data[:] = rng.uniform(0.5, 2.0, shape[-1])
+    ln.beta.data[:] = rng.standard_normal(shape[-1])
+    ref = copy.deepcopy(ln)
+    x = (rng.standard_normal(shape) * rng.uniform(0.1, 10)).astype(dtype)
+    x += rng.uniform(-50, 50)
+    for xs in (x, x[::-1, ..., ::-1]):  # contiguous and strided
+        assert_bits_equal(ln(xs), reference_layernorm(ref, xs))
+        for got, want in zip(ln._cache, ref._cache):
+            assert_bits_equal(got, want)
+        grad = rng.standard_normal(shape).astype(dtype)
+        assert_bits_equal(ln.backward(grad), ref.backward(grad))

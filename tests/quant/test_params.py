@@ -6,10 +6,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.numerics import LPParams
+from repro.numerics.logposit import ES_MIN, N_MAX, N_MIN, RS_MIN
 from repro.quant import QuantSolution, clamp_lp_params, random_solution
 
 
+def reference_clamp(n, es, rs, sf, hw_widths=None):
+    """The np.clip version ``clamp_lp_params`` replaced (verbatim)."""
+    n = int(np.clip(n, N_MIN, N_MAX))
+    if hw_widths is not None:
+        n = min(hw_widths, key=lambda w: (abs(w - n), w))
+    es = int(np.clip(es, ES_MIN, max(n - 3, 0)))
+    rs = int(np.clip(rs, RS_MIN, max(n - 1, RS_MIN)))
+    return LPParams(n=n, es=es, rs=rs, sf=float(sf))
+
+
 class TestClamp:
+    @pytest.mark.parametrize("hw_widths", [None, (2, 4, 8)], ids=["any", "hw"])
+    @pytest.mark.parametrize("kind", [int, np.int64, np.int32])
+    def test_matches_np_clip_table(self, hw_widths, kind):
+        sf = np.float32(0.375) if kind is np.int32 else -1.25
+        for n in range(-2, 13):
+            for es in range(-2, 13):
+                for rs in range(-2, 13):
+                    got = clamp_lp_params(kind(n), kind(es), kind(rs), sf, hw_widths)
+                    assert got == reference_clamp(n, es, rs, sf, hw_widths)
+                    assert type(got.n) is int and type(got.es) is int
+                    assert type(got.rs) is int and type(got.sf) is float
+
     def test_clamps_n_range(self):
         assert clamp_lp_params(0, 0, 2, 0.0).n == 2
         assert clamp_lp_params(12, 0, 2, 0.0).n == 8
