@@ -290,18 +290,13 @@ class MaxPool2d(Module):
         b, c, h, w = x.shape
         if h % k or w % k:
             raise ValueError(f"spatial dims {h}x{w} not divisible by pool {k}")
-        if w > k and k <= 3:
-            # k² strided maxima in row-major window order: the order of
-            # numpy's scalar max-reduction over these short rows, so the
-            # same bits, down to which zero of a ±0 tie survives
-            views = [x[:, :, i::k, j::k] for i in range(k) for j in range(k)]
-            out = views[0].copy()
-            for v in views[1:]:
-                np.maximum(out, v, out=out)
-        else:
-            # numpy vectorizes a reduction over a long contiguous run, and
-            # a ±0 tie then follows its lane order: keep its own reduction
-            out = x.reshape(b, c, h // k, k, w // k, k).max(axis=(3, 5))
+        # k² strided maxima, the values a multi-axis .max gives; only the
+        # sign of a NaN and which zero of a ±0 tie survives may differ,
+        # as they do between numpy's own scalar and SIMD loops
+        views = [x[:, :, i::k, j::k] for i in range(k) for j in range(k)]
+        out = views[0].copy()
+        for v in views[1:]:
+            np.maximum(out, v, out=out)
         self._cache = (x, out)
         return out
 

@@ -2,8 +2,9 @@
 
 A few SGD steps on a Conv-BN-ReLU-MaxPool net with a LayerNorm head run
 twice: once with the library's modules, once with the same network whose
-ReLU, MaxPool2d, BatchNorm2d and LayerNorm are verbatim copies of the
-versions those kernels replaced.  Following the gradient-checker pattern
+ReLU, MaxPool2d, BatchNorm2d and LayerNorm run the verbatim kernels those
+modules replaced (the references in ``test_pool_norm_kernels``; the norms'
+backward passes did not change).  Following the gradient-checker pattern
 (roll every parameter of every layer into one list and compare), the
 parameters, the BatchNorm running statistics and the input gradients of
 each step must match bit for bit, so checkpoints trained with the new
@@ -17,98 +18,46 @@ import pytest
 
 from repro import nn
 
+from .._bits import assert_bits_equal
+from .test_pool_norm_kernels import (
+    reference_batchnorm_eval,
+    reference_batchnorm_train,
+    reference_layernorm,
+    reference_maxpool,
+    reference_maxpool_backward,
+    reference_relu,
+)
 
-# -- the replaced modules (verbatim) -------------------------------------
+
+# -- the replaced modules ------------------------------------------------
 class OldReLU(nn.ReLU):
     def forward(self, x):
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        out, self._mask = reference_relu(x)
+        return out
 
     def backward(self, grad):
-        assert self._mask is not None
         return grad * self._mask
 
 
 class OldMaxPool2d(nn.MaxPool2d):
     def forward(self, x):
-        k = self.kernel_size
-        b, c, h, w = x.shape
-        if h % k or w % k:
-            raise ValueError(f"spatial dims {h}x{w} not divisible by pool {k}")
-        out = x.reshape(b, c, h // k, k, w // k, k).max(axis=(3, 5))
-        self._cache = (x, out)
+        out, self._mask = reference_maxpool(x, self.kernel_size)
         return out
 
     def backward(self, grad):
-        assert self._cache is not None
-        x, out = self._cache
-        b, c, oh, ow = out.shape
-        k = self.kernel_size
-        mask = x.reshape(b, c, oh, k, ow, k) == out[:, :, :, None, :, None]
-        # break ties: route the gradient to the first max per window only
-        flat = mask.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, oh, ow, k * k)
-        flat = flat & (np.cumsum(flat, axis=-1) == 1)
-        mask = flat.reshape(b, c, oh, ow, k, k).transpose(0, 1, 2, 4, 3, 5)
-        g = grad[:, :, :, None, :, None] * mask
-        return g.reshape(x.shape)
+        return reference_maxpool_backward(grad, self._mask)
 
 
 class OldBatchNorm2d(nn.BatchNorm2d):
     def forward(self, x):
         if self.training:
-            mean = x.mean(axis=(0, 2, 3))
-            d = x - mean[None, :, None, None]
-            var = (d * d).mean(axis=(0, 2, 3))  # x.var's ops: the same bits
-            self.running_mean = (
-                (1 - self.momentum) * self.running_mean + self.momentum * mean
-            )
-            self.running_var = (
-                (1 - self.momentum) * self.running_var + self.momentum * var
-            )
-        else:
-            mean, var = self.running_mean, self.running_var
-            d = x - mean[None, :, None, None]
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = d * inv_std[None, :, None, None]
-        self._cache = (xhat, inv_std)
-        return self.gamma.data[None, :, None, None] * xhat + self.beta.data[
-            None, :, None, None
-        ]
-
-    def backward(self, grad):
-        assert self._cache is not None
-        xhat, inv_std = self._cache
-        n = grad.shape[0] * grad.shape[2] * grad.shape[3]
-        self.gamma.accumulate((grad * xhat).sum(axis=(0, 2, 3)))
-        self.beta.accumulate(grad.sum(axis=(0, 2, 3)))
-        g = grad * self.gamma.data[None, :, None, None]
-        if not self.training:
-            return g * inv_std[None, :, None, None]
-        sum_g = g.sum(axis=(0, 2, 3), keepdims=True)
-        sum_gx = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
-        return inv_std[None, :, None, None] / n * (n * g - sum_g - xhat * sum_gx)
+            return reference_batchnorm_train(self, x)
+        return reference_batchnorm_eval(self, x)
 
 
 class OldLayerNorm(nn.LayerNorm):
     def forward(self, x):
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean) * inv_std
-        self._cache = (xhat, inv_std)
-        return self.gamma.data * xhat + self.beta.data
-
-    def backward(self, grad):
-        assert self._cache is not None
-        xhat, inv_std = self._cache
-        d = self.dim
-        axes = tuple(range(grad.ndim - 1))
-        self.gamma.accumulate((grad * xhat).sum(axis=axes))
-        self.beta.accumulate(grad.sum(axis=axes))
-        g = grad * self.gamma.data
-        sum_g = g.sum(axis=-1, keepdims=True)
-        sum_gx = (g * xhat).sum(axis=-1, keepdims=True)
-        return inv_std / d * (d * g - sum_g - xhat * sum_gx)
+        return reference_layernorm(self, x)
 
 
 OLD = {
@@ -151,12 +100,6 @@ def roll_state(model):
         **{name: p.data for name, p in model.named_parameters()},
         **dict(model.named_buffers()),
     }
-
-
-def assert_bits_equal(got, want):
-    assert got.dtype == want.dtype and got.shape == want.shape
-    uint = np.dtype(f"u{got.dtype.itemsize}")
-    np.testing.assert_array_equal(got.view(uint), want.view(uint))
 
 
 def _sgd_step(model, opt, x, labels):
