@@ -9,9 +9,7 @@ regenerated at full fidelity when time permits.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -19,7 +17,17 @@ from ..data import calibration_batch, make_dataset
 from ..models import get_model, zoo_dir
 from ..models.zoo import evaluate
 from ..numerics import LPParams
-from ..quant import LPQConfig, LPQResult, QuantSolution, lpq_quantize
+from ..quant import (
+    FitnessConfig,
+    LPQConfig,
+    QuantSolution,
+    collect_layer_stats,
+    derive_activation_params,
+    lpq_quantize,
+)
+from ..serve.store import ResultStore, result_record
+from ..spec import CalibSpec, SearchSpec
+from ..spec.wire import decode_solution
 
 __all__ = ["EFFORTS", "Effort", "get_lpq_result", "eval_quantized",
            "test_set", "format_table"]
@@ -62,54 +70,46 @@ def test_set(n: int = 512, seed: int = 0):
     return ds.images, ds.labels
 
 
-def _result_cache_path(model_name: str, effort: str) -> Path:
-    return zoo_dir() / f"lpq_{model_name}_{effort}.json"
-
-
-def _serialize_result(res: LPQResult) -> dict:
-    return {
-        "solution": [[p.n, p.es, p.rs, p.sf] for p in res.solution.layer_params],
-        "act_params": [[p.n, p.es, p.rs, p.sf] for p in res.act_params],
-        "fitness": res.fitness,
-        "best_fitness": res.history.best_fitness,
-        "mean_bits": res.history.mean_bits,
-        "param_counts": res.stats.param_counts,
-        "evaluations": res.evaluations,
-    }
+def _paper_spec(model_name: str, effort: str) -> SearchSpec:
+    """The paper's LPQ search on zoo model ``model_name`` at ``effort``,
+    as the :class:`SearchSpec` whose digest keys its stored result."""
+    eff = EFFORTS[effort]
+    # λ is re-calibrated to this reproduction's L_CO scale (our
+    # cosine-normalised contrastive loss spans a smaller range than
+    # the paper's unnormalised one); 0.15 here plays the role the
+    # paper's 0.4 plays on ImageNet models. See docs/design.md §6.
+    return SearchSpec(
+        model=f"zoo:{model_name}",
+        calib=CalibSpec(batch=eff.calib, seed=1),
+        config=eff.config,
+        fitness=FitnessConfig(lam=0.15),
+    )
 
 
 def get_lpq_result(
-    model_name: str, effort: str = "fast", force: bool = False
+    model_name: str, effort: str = "fast"
 ) -> tuple[object, QuantSolution, list[LPParams], dict]:
-    """LPQ-quantize a zoo model, caching the searched solution on disk.
+    """LPQ-quantize a zoo model, replaying the search from the result
+    store when an identical spec already ran.
 
-    Returns (model, weight solution, activation params, raw record).
+    The search is :func:`_paper_spec`'s :class:`SearchSpec`; its record
+    lives in the :class:`~repro.serve.store.ResultStore` at
+    ``zoo_dir()/"results"``, keyed by the spec's digest — the store that
+    ``run_search.py --cache-dir`` and a daemon started with
+    ``--data-dir`` on the zoo directory fill too.
+
+    Returns (model, weight solution, activation params, result record).
     """
-    eff = EFFORTS[effort]
+    spec = _paper_spec(model_name, effort)
+    store = ResultStore(zoo_dir() / "results")
+    rec = store.load(spec.digest())
+    if rec is None:
+        rec = result_record(spec, lpq_quantize(spec=spec))
+        store.store(spec.digest(), rec)
     model = get_model(model_name)
-    cache = _result_cache_path(model_name, effort)
-    if cache.exists() and not force:
-        rec = json.loads(cache.read_text())
-    else:
-        from ..quant import FitnessConfig
-
-        calib = calibration_batch(eff.calib, seed=1)
-        # λ is re-calibrated to this reproduction's L_CO scale (our
-        # cosine-normalised contrastive loss spans a smaller range than
-        # the paper's unnormalised one); 0.15 here plays the role the
-        # paper's 0.4 plays on ImageNet models. See docs/design.md §6.
-        res = lpq_quantize(model, calib, config=eff.config,
-                           fitness_config=FitnessConfig(lam=0.15))
-        rec = _serialize_result(res)
-        cache.write_text(json.dumps(rec))
-    solution = QuantSolution(
-        tuple(LPParams(n=int(n), es=int(es), rs=int(rs), sf=float(sf))
-              for n, es, rs, sf in rec["solution"])
-    )
-    act = [
-        LPParams(n=int(n), es=int(es), rs=int(rs), sf=float(sf))
-        for n, es, rs, sf in rec["act_params"]
-    ]
+    solution = decode_solution(rec["solution"])
+    stats = collect_layer_stats(model, spec.build_calib())
+    act = derive_activation_params(solution, stats, mode=spec.act_sf_mode)
     return model, solution, act, rec
 
 

@@ -7,12 +7,7 @@ import numpy as np
 
 from ..models import get_model
 from ..nn import quantizable_layers
-from ..numerics import (
-    AdaptivFloatFormat,
-    LogPositFormat,
-    LPParams,
-    relative_decimal_accuracy,
-)
+from ..numerics import make_format, relative_decimal_accuracy
 
 __all__ = ["weight_distributions", "accuracy_profiles", "run_fig1"]
 
@@ -46,16 +41,16 @@ def accuracy_profiles(n: int = 8, points: int = 129) -> dict:
     mags = np.logspace(-6, 6, points) * 1.0173  # dodge exact code points
     curves = {
         "LP rs=3": relative_decimal_accuracy(
-            LogPositFormat(LPParams(n, 1, 3, 0.0)), mags
+            make_format(f"lp:{n},1,3,0.0"), mags
         ),
         "LP rs=5 (more taper)": relative_decimal_accuracy(
-            LogPositFormat(LPParams(n, 1, 5, 0.0)), mags
+            make_format(f"lp:{n},1,5,0.0"), mags
         ),
         "LP sf=8 (shifted)": relative_decimal_accuracy(
-            LogPositFormat(LPParams(n, 1, 3, 8.0)), mags
+            make_format(f"lp:{n},1,3,8.0"), mags
         ),
         "AdaptivFloat": relative_decimal_accuracy(
-            AdaptivFloatFormat(n=n, ebits=4, exp_bias=7), mags
+            make_format(f"afloat:{n},4,7"), mags
         ),
     }
     return {"magnitudes": mags, "curves": curves}

@@ -9,11 +9,9 @@ import numpy as np
 from ..data import calibration_batch
 from ..models import get_model
 from ..models.zoo import evaluate
+from ..parallel import EvaluatorSpec
 from ..quant import (
-    FitnessEvaluator,
-    LPQConfig,
     LPQEngine,
-    OutputObjectiveEvaluator,
     collect_layer_stats,
     derive_activation_params,
     per_layer_rmse,
@@ -43,12 +41,13 @@ def convergence_curves(
     images, labels = test_set(eval_images, seed=9)
     curves: dict[str, dict] = {}
     for obj in objectives:
-        if obj == "global_local_contrastive":
-            evaluator = FitnessEvaluator(model, calib, stats.param_counts)
-        else:
-            evaluator = OutputObjectiveEvaluator(
-                model, calib, stats.param_counts, obj
-            )
+        evaluator = EvaluatorSpec(
+            images=calib,
+            model=model,
+            objective=None if obj == "global_local_contrastive" else obj,
+            act_mode=None,
+            stats=stats,
+        ).build()
         engine = LPQEngine(evaluator, stats.weight_log_centers, eff.config)
         engine.initialize()
         accs, iters = [], []

@@ -31,13 +31,12 @@ def lpq_row(model_name: str, effort: str = "fast") -> dict:
         "wa": f"MP{w_bits:.1f}/MP{a_bits:.1f}",
         "w_bits": w_bits,
         "a_bits": a_bits,
-        "size_mb": solution.model_size_mb(rec["param_counts"]),
+        "size_mb": rec["model_size_mb"],
         "fp_size_mb": fp_model_size_mb(model),
         "fp_top1": fp_top1,
         "top1": q_top1,
         "drop": fp_top1 - q_top1,
-        "compression": fp_model_size_mb(model)
-        / solution.model_size_mb(rec["param_counts"]),
+        "compression": fp_model_size_mb(model) / rec["model_size_mb"],
     }
 
 

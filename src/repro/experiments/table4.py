@@ -13,7 +13,7 @@ import numpy as np
 
 from ..accel import adaptivfloat_arch, evaluate_arch, lpa, posit_arch
 from ..accel.workload import paper_resnet50_shapes
-from ..numerics import LPParams, PositFormat, AdaptivFloatFormat
+from ..numerics import LPParams, calibrated_format, make_format
 from ..nn import quantizable_layers
 from ..quant import QuantSolution, collect_layer_stats, derive_activation_params
 from ..data import calibration_batch
@@ -97,7 +97,7 @@ def run_table4(effort: str = "fast") -> dict:
         def ctor(w):
             n = posit_bits[idx["i"] % n_layers]
             idx["i"] += 1
-            return PositFormat(n=max(n, 2), es=min(1, max(n - 3, 0)))
+            return make_format(f"posit:{max(n, 2)},{min(1, max(n - 3, 0))}")
 
         return ctor
 
@@ -105,7 +105,8 @@ def run_table4(effort: str = "fast") -> dict:
         model, posit_ctor_factory(), images, labels, calib
     )
     rows["AdaptivFloat-8"]["top1"] = _accuracy_with_family(
-        model, lambda w: AdaptivFloatFormat.for_tensor(w, 8), images, labels, calib
+        model, lambda w: calibrated_format("adaptivfloat", w, 8),
+        images, labels, calib,
     )
 
     fp_top1 = evaluate(model, images, labels)

@@ -1570,8 +1570,8 @@ class RemoteExecutor:
         self._pool.close()
 
 
-# the socket transport is the fourth shared-pool backend; the serial /
-# thread / process factories live in repro.serve.pool
+# the socket transport is the third shared-pool backend; the serial and
+# process factories live in repro.serve.pool
 def _make_shared_remote_pool(specs, config, results, search_specs):
     blobs = get_blob_store()
     return SharedRemotePool(

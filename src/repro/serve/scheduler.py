@@ -16,7 +16,7 @@ generation time in the standalone order, chunk results are reassembled
 by ``(seq, chunk)`` tags before they reach the engine, and every worker
 replica is a byte-identical reconstruction of the job's
 :class:`~repro.parallel.EvaluatorSpec` — rebuilt in-process for the
-serial/thread pools, and from the job's plain-JSON wire payload
+serial pool, and from the job's plain-JSON wire payload
 (:mod:`repro.spec.wire`) for the process pool.  Scheduling therefore
 cannot move a bit — per-job results are bitwise-identical to a
 standalone :func:`repro.quant.lpq_quantize` with the same seed, on
@@ -164,7 +164,7 @@ class SearchScheduler:
     """Runs many LPQ searches concurrently on one shared executor pool.
 
     ``executor`` is the same :class:`~repro.parallel.ExecutorConfig`
-    knob as single-job searches (``serial`` / ``thread`` / ``process``
+    knob as single-job searches (``serial`` / ``process`` / ``remote``
     backends); ``target_chunk_s`` sets the wall-clock a single submitted
     chunk should cost, which the adaptive chunker divides by each job's
     measured per-candidate cost — cheap-model jobs ship large chunks

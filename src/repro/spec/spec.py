@@ -269,9 +269,13 @@ class SearchSpec:
         two fields that cannot move a bit: ``executor`` (every backend
         produces the identical trajectory — the stack-wide invariant)
         and ``name`` (a job label).  Two specs with equal digests
-        therefore produce bitwise-identical results, which is what lets
-        ``scripts/run_search.py --cache-dir`` replay a stored result
-        instead of re-running the search.
+        produce bitwise-identical results on hosts with the same numpy
+        SIMD level and the same OpenBLAS kernel; float32
+        transcendentals and sgemm round differently across those, so a
+        different host may find a different search.  The digest does
+        not record the host: ``scripts/run_search.py --cache-dir``, the
+        daemon and the experiment harnesses replay a stored record as
+        is instead of re-running the search.
 
         >>> from repro.spec import CalibSpec, SearchSpec
         >>> from repro.parallel import ExecutorConfig

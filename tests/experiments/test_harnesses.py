@@ -1,5 +1,8 @@
 """Tests for the experiment harnesses (smoke effort, cached models)."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -48,6 +51,20 @@ class TestReferenceConstants:
         assert set(TABLE2["LPQ"]) == {"vit_b", "deit_s", "swin_t"}
 
 
+@pytest.fixture
+def isolated_zoo(tmp_path, monkeypatch):
+    """A private zoo directory holding only the resnet18 checkpoint, so
+    the result store starts empty and the test never retrains."""
+    import shutil
+
+    from repro.models import get_model, zoo_dir
+
+    get_model("resnet18")  # trains + caches on a cold zoo
+    shutil.copy(zoo_dir() / "resnet18.npz", tmp_path / "resnet18.npz")
+    monkeypatch.setenv("REPRO_ZOO_DIR", str(tmp_path))
+    return tmp_path
+
+
 class TestCommon:
     def test_efforts_defined(self):
         assert {"smoke", "fast", "paper"} <= set(EFFORTS)
@@ -61,20 +78,57 @@ class TestCommon:
         assert "a" in out and "44" in out
         assert len(out.splitlines()) == 4
 
-    def test_lpq_result_cached(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ZOO_DIR", str(tmp_path))
-        # copy the trained checkpoint so get_model does not retrain
-        import shutil
-        from repro.models import zoo_dir
+    def test_lpq_result_equals_legacy_keyword_call(self, isolated_zoo):
+        from repro.data import calibration_batch
+        from repro.models import get_model
+        from repro.quant import FitnessConfig, lpq_quantize
 
-        monkeypatch.delenv("REPRO_ZOO_DIR")
-        src = zoo_dir() / "resnet18.npz"
-        monkeypatch.setenv("REPRO_ZOO_DIR", str(tmp_path))
-        shutil.copy(src, tmp_path / "resnet18.npz")
-        _, sol1, _, _ = get_lpq_result("resnet18", "smoke")
-        _, sol2, _, _ = get_lpq_result("resnet18", "smoke")
-        assert sol1.encode().tolist() == sol2.encode().tolist()
-        assert (tmp_path / "lpq_resnet18_smoke.json").exists()
+        _, solution, act, rec = get_lpq_result("resnet18", "smoke")
+        legacy = lpq_quantize(
+            get_model("resnet18"), calibration_batch(16, seed=1),
+            config=EFFORTS["smoke"].config,
+            fitness_config=FitnessConfig(lam=0.15),
+        )
+        assert solution == legacy.solution
+        assert act == legacy.act_params
+        assert rec["fitness"] == legacy.fitness
+        assert rec["evaluations"] == legacy.evaluations
+
+    def test_lpq_result_cached(self, isolated_zoo, monkeypatch):
+        from repro.experiments import common
+
+        _, sol1, act1, rec1 = get_lpq_result("resnet18", "smoke")
+        digest = common._paper_spec("resnet18", "smoke").digest()
+        assert rec1["digest"] == digest
+        assert (isolated_zoo / "results" / f"{digest}.json").exists()
+        assert not list(isolated_zoo.rglob("lpq_*.json"))
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("a store hit must not search")
+
+        monkeypatch.setattr(common, "lpq_quantize", no_search)
+        _, sol2, act2, rec2 = get_lpq_result("resnet18", "smoke")
+        assert (sol2, act2, rec2) == (sol1, act1, rec1)
+
+        # a changed effort config is a different search: a store miss
+        smoke = EFFORTS["smoke"]
+        monkeypatch.setitem(EFFORTS, "smoke", dataclasses.replace(
+            smoke, config=dataclasses.replace(smoke.config, seed=1)))
+        with pytest.raises(AssertionError, match="must not search"):
+            get_lpq_result("resnet18", "smoke")
+
+    def test_committed_sweep_is_the_harness_search(self):
+        from repro.experiments.common import _paper_spec
+        from repro.models import MODEL_REGISTRY
+        from repro.spec import load_sweep
+
+        specs = load_sweep(
+            Path(__file__).resolve().parents[2]
+            / "examples/specs/paper_lpq_fast.json"
+        )
+        assert sorted(spec.digest() for spec in specs.values()) == sorted(
+            _paper_spec(name, "fast").digest() for name in MODEL_REGISTRY
+        )
 
 
 class TestFig1:
