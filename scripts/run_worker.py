@@ -17,7 +17,10 @@ Usage::
         --port 7301 --token s3cret
 
 The shared token may also come from the ``REPRO_WORKER_TOKEN``
-environment variable (the flag wins).  The worker prints one
+environment variable (the flag wins).  A client whose numerics
+fingerprint (numpy version, SIMD level, OpenBLAS core, kernel canary)
+differs from the worker's is refused at the handshake, since the two
+would not compute the same bits.  The worker prints one
 ``worker listening on host:port`` line once it is accepting
 connections — CI and launch scripts key readiness off it — and then
 serves until interrupted.

@@ -4,6 +4,8 @@ selection on/off, block-wise vs whole-vector regeneration."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..data import calibration_batch
@@ -20,7 +22,7 @@ from ..quant import (
 from ..models.zoo import evaluate
 from .common import EFFORTS, test_set
 
-__all__ = ["run_pooling_ablation", "run_search_ablation"]
+__all__ = ["run_pooling_ablation", "run_search_ablation", "search_variants"]
 
 
 def _search_accuracy(model, calib, stats, config, fitness_config=None,
@@ -61,25 +63,29 @@ def run_pooling_ablation(model_name: str = "resnet18", effort: str = "fast") -> 
     }
 
 
+def search_variants(base: LPQConfig) -> dict[str, LPQConfig]:
+    """The search ablation's configs: ``base`` and ``base`` with one
+    switch off each, so every variant searches the same space.
+
+    >>> from repro.quant import LPQConfig
+    >>> v = search_variants(LPQConfig(hw_widths=(4, 8)))
+    >>> v["no_diversity"].diversity, v["no_diversity"].hw_widths
+    (False, (4, 8))
+    """
+    return {
+        "full": base,
+        "no_diversity": replace(base, diversity=False),
+        "no_blockwise": replace(base, blockwise=False),
+    }
+
+
 def run_search_ablation(model_name: str = "resnet18", effort: str = "fast") -> dict:
     """Step-3 diversity and block-wise regeneration switched off."""
     eff = EFFORTS[effort]
     model = get_model(model_name)
     calib = calibration_batch(eff.calib, seed=5)
     stats = collect_layer_stats(model, calib)
-    base = eff.config
-    variants = {
-        "full": base,
-        "no_diversity": LPQConfig(
-            population=base.population, passes=base.passes, cycles=base.cycles,
-            block_size=base.block_size, diversity=False, seed=base.seed,
-        ),
-        "no_blockwise": LPQConfig(
-            population=base.population, passes=base.passes, cycles=base.cycles,
-            block_size=base.block_size, blockwise=False, seed=base.seed,
-        ),
-    }
     return {
         name: _search_accuracy(model, calib, stats, cfg)
-        for name, cfg in variants.items()
+        for name, cfg in search_variants(eff.config).items()
     }

@@ -177,14 +177,28 @@ def conv2d_backward(
 _SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 
 
+def _cube(x: np.ndarray) -> np.ndarray:
+    """``x**3`` as a float64 product rounded once to ``x.dtype``.
+
+    ``x * x`` is exact in float64 and the second product rounds once,
+    so the result depends only on IEEE multiply and convert — not on
+    which ``pow`` kernel numpy dispatches to — and it is correctly
+    rounded except where that float64 product lands exactly on a
+    float32 rounding midpoint (``scripts/count_gelu_cube.py`` counts
+    those over every float32).
+    """
+    x64 = x.astype(np.float64)
+    return (x64 * x64 * x64).astype(x.dtype)
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
     """GELU with the tanh approximation (as used by ViT/DeiT/Swin)."""
-    inner = _SQRT_2_OVER_PI * (x + 0.044715 * x**3)
+    inner = _SQRT_2_OVER_PI * (x + 0.044715 * _cube(x))
     return 0.5 * x * (1.0 + np.tanh(inner))
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
-    inner = _SQRT_2_OVER_PI * (x + 0.044715 * x**3)
+    inner = _SQRT_2_OVER_PI * (x + 0.044715 * _cube(x))
     t = np.tanh(inner)
     dinner = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x**2)
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner

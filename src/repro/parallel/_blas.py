@@ -10,8 +10,8 @@ the workers keeps whatever count it had.
 threadpoolctl is not a dependency, so the OpenBLAS numpy loaded is
 found through ``/proc/self/maps`` and driven through ``ctypes``.  The
 call runs after numpy is imported, so one path covers fork, spawn and
-socket workers.  With another BLAS vendor, or without ``/proc``, both
-functions here do nothing.
+socket workers.  With another BLAS vendor, or without ``/proc``, the
+functions here do nothing and report ``None``.
 """
 
 from __future__ import annotations
@@ -19,22 +19,23 @@ from __future__ import annotations
 import ctypes
 import functools
 
-#: (get, set) symbol pairs: plain OpenBLAS, numpy's bundled
-#: scipy-openblas (64-bit ints), and a plain 64-bit-int build
+#: (get threads, set threads, core name) symbols: plain OpenBLAS,
+#: numpy's bundled scipy-openblas (64-bit ints), and a plain 64-bit-int
+#: build
 _SYMBOLS = (
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads",
+     "openblas_get_corename"),
     ("scipy_openblas_get_num_threads64_",
-     "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+     "scipy_openblas_set_num_threads64_",
+     "scipy_openblas_get_corename64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_",
+     "openblas_get_corename64_"),
 )
 
 
-@functools.cache
-def _openblas():
-    """``(get, set)`` thread-count functions of the OpenBLAS mapped into
-    this process, or ``None``.  Resolved once per process (a forked
-    child inherits the handles, which stay valid in its copy of the
-    address space)."""
+def _mapped_openblas():
+    """``(library, symbol names)`` of the OpenBLAS mapped into this
+    process, or ``None``."""
     try:
         with open("/proc/self/maps") as maps:
             paths = {line.split()[-1] for line in maps
@@ -46,14 +47,41 @@ def _openblas():
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for get_name, set_name in _SYMBOLS:
-            get = getattr(lib, get_name, None)
-            set_ = getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                set_.restype, set_.argtypes = None, [ctypes.c_int]
-                return get, set_
+        for names in _SYMBOLS:
+            if all(hasattr(lib, name) for name in names[:2]):
+                return lib, names
     return None
+
+
+@functools.cache
+def _openblas():
+    """``(get, set)`` thread-count functions of the OpenBLAS mapped into
+    this process, or ``None``.  Resolved once per process (a forked
+    child inherits the handles, which stay valid in its copy of the
+    address space)."""
+    found = _mapped_openblas()
+    if found is None:
+        return None
+    lib, (get_name, set_name, _) = found
+    get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+    get.restype, get.argtypes = ctypes.c_int, []
+    set_.restype, set_.argtypes = None, [ctypes.c_int]
+    return get, set_
+
+
+@functools.cache
+def blas_corename() -> str | None:
+    """The CPU kernel set this process's OpenBLAS dispatched to (e.g.
+    ``"SkylakeX"``; ``OPENBLAS_CORETYPE`` overrides it), or ``None``."""
+    found = _mapped_openblas()
+    if found is None:
+        return None
+    lib, names = found
+    corename = getattr(lib, names[2], None)
+    if corename is None:
+        return None
+    corename.restype, corename.argtypes = ctypes.c_char_p, []
+    return corename().decode("ascii", "replace")
 
 
 def blas_threads() -> int | None:

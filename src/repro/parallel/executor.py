@@ -246,8 +246,9 @@ class SerialExecutor:
 # One worker body serves both process stacks: ProcessExecutor (a
 # one-job table) and repro.serve's SharedProcessPool (one entry per
 # scheduled job).  Worker state lives in module globals: each worker
-# receives the full job table once at init and builds a replica lazily
-# per job on its first task.  A table entry is a plain-JSON wire
+# receives the full job table once at init, builds a replica lazily
+# per job on its first task, and drops it when a later task lists the
+# job as finished.  A table entry is a plain-JSON wire
 # payload (repro.spec.wire) or, for specs the wire codec rejects, the
 # pickled EvaluatorSpec itself.  A job whose replica fails to decode or
 # build fails *its own* tasks (the error travels back inside the result
@@ -294,11 +295,15 @@ def _init_shared_worker(jobs: dict, blob_table: dict | None = None) -> None:
             _SHARED_BLOBS_ERROR = traceback.format_exc()
 
 
-def _evaluate_shared_chunk(job: str, solutions):
+def _evaluate_shared_chunk(job: str, solutions, finished=()):
+    """Score ``solutions`` on this worker's replica of ``job``, first
+    dropping the replicas of the ``finished`` jobs."""
     start = time.perf_counter()
     try:
         if _SHARED_STATE is None or _SHARED_JOBS is None:
             raise RuntimeError("shared pool worker not initialized")
+        for name in finished:
+            _SHARED_STATE.pop(name, None)
         if _SHARED_BLOBS_ERROR is not None:
             raise RuntimeError(
                 "shared pool worker could not attach its blob table:\n"

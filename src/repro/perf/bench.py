@@ -226,6 +226,11 @@ def _transport_counters(snapshot: dict) -> dict:
         "bytes_sent": counters.get("transport.bytes_sent", 0),
         "bytes_saved": counters.get("transport.bytes_saved", 0),
         "blob": {"hits": blob["hits"], "misses": blob["misses"]},
+        # remote workers refused for other numerics; 0 on a fleet that
+        # reproduces this process's bits
+        "fingerprint_mismatch": counters.get(
+            "remote.fingerprint_mismatch", 0
+        ),
         # every fault-recovery action the run took (retries, requeues,
         # rejoins, fallbacks, checksum rejects, ...); all zero on a
         # healthy fleet
@@ -646,11 +651,13 @@ def _model_section(
 
 def _blas_section() -> dict:
     """The BLAS numpy was built against, this process's BLAS thread
-    count, and the count a process-pool worker runs with (``None``
-    where the BLAS is not OpenBLAS)."""
+    count, the count a process-pool worker runs with (``None`` where
+    the BLAS is not OpenBLAS), and the numerics fingerprint: records
+    compare only where it matches."""
     import numpy
 
     from ..parallel._blas import blas_threads
+    from ..parallel._fingerprint import numerics_fingerprint
     from ..parallel.executor import _init_shared_worker
 
     try:
@@ -668,6 +675,7 @@ def _blas_section() -> dict:
         "blas": blas,
         "blas_threads": blas_threads(),
         "worker_blas_threads": worker_threads,
+        "fingerprint": numerics_fingerprint(),
     }
 
 

@@ -135,6 +135,11 @@ class WorkerPool(abc.ABC):
         """Whether the pool can still evaluate submitted chunks."""
         return True
 
+    def release(self, job: str) -> None:
+        """``job`` is finished: drop the replica the pool keeps for it,
+        so a pool's memory follows the jobs in flight, not every job it
+        has served.  No-op by default."""
+
     def membership(self) -> list[dict]:
         """Per-worker liveness/queue facts for fleet status views.
 
@@ -184,6 +189,9 @@ class SharedSerialPool(WorkerPool):
             )
         self._results.put(result)
 
+    def release(self, job: str) -> None:
+        self._replicas.pop(job, None)
+
     def close(self) -> None:
         pass
 
@@ -204,6 +212,10 @@ class SharedProcessPool(WorkerPool):
     the wires resolve against the exporter's physical pages instead of
     per-worker base64 copies.  ``transport.bytes_sent`` /
     ``transport.bytes_saved`` record the shipped and displaced volume.
+
+    The pool cannot address one worker, so :meth:`release` sends the
+    finished job names with every later task, and each worker drops
+    those replicas before it evaluates.
     """
 
     def __init__(
@@ -217,6 +229,7 @@ class SharedProcessPool(WorkerPool):
         self.workers = workers
         self.wires = dict(wires)
         self._results = results
+        self._released: list[str] = []
         blob_table = None
         if blobs is not None:
             from ..perf import get_perf
@@ -251,10 +264,13 @@ class SharedProcessPool(WorkerPool):
 
         self._pool.apply_async(
             _evaluate_shared_chunk,
-            (job, solutions),
+            (job, solutions, tuple(self._released)),
             callback=on_done,
             error_callback=on_error,
         )
+
+    def release(self, job: str) -> None:
+        self._released.append(job)
 
     def close(self) -> None:
         self._pool.close()

@@ -65,11 +65,13 @@ import warnings
 from ..obs import MetricsEmitter, get_hub
 from ..parallel import EvaluatorSpec, ExecutorConfig, parse_address
 from ..parallel._blas import one_blas_thread
+from ..parallel._fingerprint import numerics_fingerprint
 from ..parallel.executor import _build_entry, _evaluate_with_entry
 from ..perf import PerfRegistry
 from ..spec import registry as spec_registry
 from ..spec.blob import BlobStore, get_blob_store
 from ..spec.wire import (
+    FINGERPRINT_MISMATCH,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     WIRE_VERSION,
@@ -124,6 +126,11 @@ def _send_frame(sock: socket.socket, lock: threading.Lock,
     data = frame_message(message)
     with lock:
         sock.sendall(data)
+
+
+class _FingerprintMismatch(ConnectionError):
+    """A handshake refused because the two ends' numerics fingerprints
+    differ (:mod:`repro.parallel._fingerprint`)."""
 
 
 # -- the worker (server side) --------------------------------------------
@@ -226,7 +233,21 @@ class _WorkerSession(threading.Thread):
             self._send(error_message("bad auth token"))
             self.server._log(f"refused {self.peer}: bad auth token")
             return False
-        data = frame_message(welcome_message(capacity=1))
+        fingerprint = numerics_fingerprint()
+        if message.get("fingerprint") != fingerprint:
+            self._send(error_message(
+                f"numerics fingerprint mismatch: client "
+                f"{message.get('fingerprint')!r}, worker {fingerprint!r}; "
+                "the worker would not reproduce the client's bits",
+                reason=FINGERPRINT_MISMATCH,
+            ))
+            self.server._log(
+                f"refused {self.peer}: numerics fingerprint "
+                f"{message.get('fingerprint')!r} != {fingerprint!r}"
+            )
+            return False
+        data = frame_message(welcome_message(capacity=1,
+                                             fingerprint=fingerprint))
         with self._send_lock:
             self.sock.sendall(data)
             # under the send lock: a broadcast that sees the flag sends
@@ -773,6 +794,14 @@ class SharedRemotePool(WorkerPool):
     cleanly rather than blocking forever; ``"local"`` evaluates them on
     an in-process fallback evaluator — slower, but bitwise-identical.
 
+    **Numerics.**  Both handshake frames carry the numerics
+    fingerprint (:mod:`repro.parallel._fingerprint`).  A worker whose
+    fingerprint differs from this process's would score candidates
+    with other bits, so it is refused for good and never redialed,
+    counted in ``remote.fingerprint_mismatch``; its share goes to the
+    rest of the fleet, and with every address refused, to the local
+    fallback evaluator whatever ``on_fleet_death`` says.
+
     **Elasticity.**  The fleet is not static: dead addresses are
     re-dialed on the same deterministic backoff, so a restarted worker
     rejoins mid-search and immediately receives a rebalanced share of
@@ -861,6 +890,8 @@ class SharedRemotePool(WorkerPool):
         self._local_lock = threading.Lock()
         #: transport threads that outlived close()'s join timeouts
         self.leaked_threads: list[str] = []
+        #: address → why it was refused for good (numerics fingerprint)
+        self.refused: dict[str, str] = {}
 
     # -- WorkerPool surface ----------------------------------------------
     @property
@@ -881,8 +912,11 @@ class SharedRemotePool(WorkerPool):
 
     def start(self) -> "SharedRemotePool":
         try:
-            for address in self.addresses:
-                self._workers.append(self._connect(address))
+            for address in list(self.addresses):
+                try:
+                    self._workers.append(self._connect(address))
+                except _FingerprintMismatch as exc:
+                    self._refuse(address, exc)
         except Exception:
             # a partial fleet must not leak: drop every connection made
             # so far (their reader threads exit on the closed sockets)
@@ -972,6 +1006,9 @@ class SharedRemotePool(WorkerPool):
                 self.addresses.append(address)
         try:
             worker = self._connect(address)
+        except _FingerprintMismatch as exc:
+            self._refuse(address, exc)
+            return False
         except ConnectionError:
             with self._lock:
                 self._redial.setdefault(address, [0, 0.0])
@@ -996,6 +1033,19 @@ class SharedRemotePool(WorkerPool):
             with contextlib.suppress(OSError, ValueError):
                 worker.send({"type": "bye"})
             self._worker_died(worker)
+
+    def _refuse(self, address: str, exc: _FingerprintMismatch) -> None:
+        """Retire ``address`` for good: its worker would not reproduce
+        this process's bits.  The rest of the fleet takes its chunks;
+        with every address refused, the local fallback does."""
+        self.perf.counter("remote.fingerprint_mismatch").inc()
+        with self._lock:
+            if address in self.addresses:
+                self.addresses.remove(address)
+            self._redial.pop(address, None)
+            self.refused[address] = str(exc)
+        warnings.warn(f"SharedRemotePool: {exc}", RuntimeWarning,
+                      stacklevel=3)
 
     def _admit(self, worker: _RemoteWorker, rejoin: bool) -> None:
         """Install a freshly-connected worker: replace any dead record
@@ -1031,8 +1081,9 @@ class SharedRemotePool(WorkerPool):
         # handshake reply and every later frame come off the same
         # buffer, so no read-ahead byte can be stranded
         rfile = sock.makefile("rb")
+        fingerprint = numerics_fingerprint()
         try:
-            worker.send(hello_message(self.token))
+            worker.send(hello_message(self.token, fingerprint))
             reply = read_frame(rfile)
         except (OSError, ValueError) as exc:
             worker.drop()
@@ -1042,15 +1093,25 @@ class SharedRemotePool(WorkerPool):
         if reply is None or reply.get("type") != "welcome":
             detail = (reply or {}).get("error", "connection closed")
             worker.drop()
-            raise ConnectionError(
-                f"worker {address} refused the handshake: {detail}"
+            error = (
+                _FingerprintMismatch
+                if (reply or {}).get("reason") == FINGERPRINT_MISMATCH
+                else ConnectionError
             )
+            raise error(f"worker {address} refused the handshake: {detail}")
         if reply.get("protocol") != PROTOCOL_VERSION:
             worker.drop()
             raise ConnectionError(
                 f"worker {address} speaks protocol "
                 f"{reply.get('protocol')!r}, this client speaks "
                 f"{PROTOCOL_VERSION}; upgrade the older build"
+            )
+        if reply.get("fingerprint") != fingerprint:
+            worker.drop()
+            raise _FingerprintMismatch(
+                f"worker {address} has numerics fingerprint "
+                f"{reply.get('fingerprint')!r}, this client "
+                f"{fingerprint!r}"
             )
         sock.settimeout(None)
         worker.capacity = max(1, int(reply.get("capacity", 1)))
@@ -1173,6 +1234,9 @@ class SharedRemotePool(WorkerPool):
             self.perf.counter("fault.redials").inc()
             try:
                 worker = self._connect(address)
+            except _FingerprintMismatch as exc:
+                self._refuse(address, exc)
+                continue
             except (ConnectionError, OSError, ValueError):
                 state[1] = time.monotonic() + self.retry.backoff(
                     state[0], key=address
@@ -1360,7 +1424,9 @@ class SharedRemotePool(WorkerPool):
         if self._closed:
             self._fail_task(entry, "pool closed")
             return
-        if self.on_fleet_death == "local":
+        with self._lock:
+            all_refused = bool(self.refused) and not self.addresses
+        if self.on_fleet_death == "local" or all_refused:
             self.perf.counter("fault.fallbacks").inc()
             self._run_local(entry)
             return

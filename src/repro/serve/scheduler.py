@@ -579,11 +579,14 @@ class SearchScheduler:
         self._merge_job_perf(st)
 
     def _merge_job_perf(self, st: _JobState) -> None:
-        """Publish the job's perf snapshot on its handle and fold the
+        """Publish the job's perf snapshot on its handle, fold the
         private registry (engine events + worker deltas) into the
-        scheduler's ambient registry exactly once."""
+        scheduler's ambient registry exactly once, and let the pool drop
+        the job's replicas."""
         st.handle._perf = st.perf.snapshot()
         if st.perf is not self.perf:
             self.perf.merge_snapshot(st.handle._perf)
+        if self._pool is not None:
+            self._pool.release(st.name)
         if self.on_finished is not None:
             self.on_finished(st.name, st.handle)

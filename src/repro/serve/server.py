@@ -486,10 +486,11 @@ class SearchServer:
     # -- recovery --------------------------------------------------------
     def _recover(self) -> None:
         """Rebuild the job table from the journal: done jobs point at
-        the store, terminal jobs stay terminal, and submitted/running
-        jobs — the ones a crash interrupted — re-queue (unless the
-        store already holds their digest, in which case they complete
-        for free)."""
+        the store, failed and cancelled jobs stay terminal, and
+        submitted/running jobs — the ones a crash interrupted — re-queue
+        (unless the store already holds their digest, in which case
+        they complete for free).  A done job whose stored record is
+        gone, or was written under other numerics, re-queues too."""
         records = self.journal.replay()
         states: dict[str, dict] = {}
         for record in records:
@@ -518,14 +519,16 @@ class SearchServer:
                 name=name, spec=spec, digest=spec.digest(),
                 priority=int(info["priority"]), order=next(self._order),
             )
-            if info["state"] == "done":
-                job.state, job.cached = "done", True
-                self.stats["replayed"] += 1
-            elif info["state"] in ("failed", "cancelled"):
+            if info["state"] in ("failed", "cancelled"):
                 job.state, job.error = info["state"], info["error"]
             else:
+                # a done job's record is read again, not trusted: one
+                # written under other numerics is a miss and re-runs
                 record = self.store.load(job.digest)
-                if record is not None:
+                if record is not None and info["state"] == "done":
+                    job.state, job.cached = "done", True
+                    self.stats["replayed"] += 1
+                elif record is not None:
                     # the result landed in the store before the crash
                     # could journal it (or an identical spec already
                     # ran): done, zero re-evaluation

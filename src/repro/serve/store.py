@@ -15,10 +15,14 @@ Two small persistence primitives sit under
   :meth:`repro.spec.SearchSpec.digest`.  This generalizes
   ``run_search.py --cache-dir`` into the service's memoization tier:
   the digest ignores the executor, so a cached serial result satisfies
-  a remote re-run of the same spec.  Every store is atomic
-  (``mkstemp`` + ``os.replace``), fixing the latent non-atomic cache
-  write ``run_search.py`` used to do — a crash mid-write can no longer
-  leave a corrupt entry the daemon would later trust.
+  a remote re-run of the same spec.  The digest does not cover the
+  host's numerics, so every record carries the numerics fingerprint of
+  the process that wrote it, and a record whose fingerprint differs
+  from this process's (or that has none) is a miss: the search re-runs
+  rather than replay bits this host would not produce.  Every store is
+  atomic (``mkstemp`` + ``os.replace``), fixing the latent non-atomic
+  cache write ``run_search.py`` used to do — a crash mid-write can no
+  longer leave a corrupt entry the daemon would later trust.
 
 >>> import os, tempfile
 >>> root = tempfile.mkdtemp()
@@ -32,12 +36,17 @@ Two small persistence primitives sit under
 >>> [rec["op"] for rec in journal.replay()]  # ...complete records survive
 ['submitted', 'running']
 >>> journal.close()
+>>> from repro.parallel._fingerprint import numerics_fingerprint
 >>> store = ResultStore(os.path.join(root, "results"))
 >>> store.load("0" * 64) is None
 True
->>> _ = store.store("0" * 64, {"fitness": -1.25})
+>>> here = numerics_fingerprint()
+>>> _ = store.store("0" * 64, {"fitness": -1.25, "fingerprint": here})
 >>> store.load("0" * 64)["fitness"]
 -1.25
+>>> _ = store.store("1" * 64, {"fitness": -1.25})  # no fingerprint
+>>> store.load("1" * 64) is None
+True
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ import os
 import tempfile
 from pathlib import Path
 
+from ..parallel._fingerprint import numerics_fingerprint
 from ..perf import get_perf
 
 __all__ = ["JOURNAL_OPS", "Journal", "ResultStore", "result_record"]
@@ -207,8 +217,10 @@ class ResultStore:
     Writes are atomic (``mkstemp`` in the store directory +
     ``os.replace``), so a crash mid-write can never leave a torn file
     where the digest promises a complete record.  Corrupt or foreign
-    files read as misses, never as errors.  Hits and misses are
-    accounted in the ``serve.results`` cache stats.
+    files, and records whose ``fingerprint`` is not this process's
+    :func:`~repro.parallel._fingerprint.numerics_fingerprint`, read as
+    misses, never as errors.  Hits and misses are accounted in the
+    ``serve.results`` cache stats.
     """
 
     def __init__(self, root, perf=None) -> None:
@@ -221,14 +233,17 @@ class ResultStore:
 
     def load(self, digest: str) -> dict | None:
         """The stored record for ``digest``, or ``None`` on a miss (a
-        missing, corrupt, or non-object file all count as misses)."""
+        missing, corrupt or non-object file, and a record written under
+        other numerics, all count as misses)."""
         stats = self.perf.cache("serve.results")
         try:
             record = json.loads(self.path(digest).read_text())
         except (OSError, ValueError):
             stats.miss()
             return None
-        if not isinstance(record, dict):
+        if not isinstance(record, dict) or (
+            record.get("fingerprint") != numerics_fingerprint()
+        ):
             stats.miss()
             return None
         stats.hit()
@@ -259,14 +274,16 @@ class ResultStore:
 def result_record(spec, result, wall: float | None = None) -> dict:
     """The canonical JSON record for one finished search spec — what
     ``run_search.py`` prints/caches and what the daemon's
-    :class:`ResultStore` serves.  The executor token (a shared secret)
-    is scrubbed: records get committed and uploaded as CI artifacts."""
+    :class:`ResultStore` serves, stamped with this process's numerics
+    fingerprint.  The executor token (a shared secret) is scrubbed:
+    records get committed and uploaded as CI artifacts."""
     payload = spec.to_dict()
     if payload.get("executor") and payload["executor"].get("token"):
         payload["executor"]["token"] = None
     return {
         "spec": payload,
         "digest": spec.digest(),
+        "fingerprint": numerics_fingerprint(),
         "wall_s": wall,
         "fitness": result.fitness,
         "mean_weight_bits": result.mean_weight_bits,

@@ -273,9 +273,12 @@ class SearchSpec:
         SIMD level and the same OpenBLAS kernel; float32
         transcendentals and sgemm round differently across those, so a
         different host may find a different search.  The digest does
-        not record the host: ``scripts/run_search.py --cache-dir``, the
-        daemon and the experiment harnesses replay a stored record as
-        is instead of re-running the search.
+        not record the host; the numerics fingerprint does.  Every
+        stored result carries the fingerprint of the process that
+        computed it, and ``scripts/run_search.py --cache-dir``, the
+        daemon and the experiment harnesses replay a stored record only
+        where the fingerprint matches theirs (otherwise the search
+        re-runs); remote workers with another fingerprint are refused.
 
         >>> from repro.spec import CalibSpec, SearchSpec
         >>> from repro.parallel import ExecutorConfig

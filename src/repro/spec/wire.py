@@ -80,6 +80,7 @@ from .spec import _DEFAULT_OBJECTIVE, SearchSpec
 __all__ = [
     "WIRE_VERSION",
     "PROTOCOL_VERSION",
+    "FINGERPRINT_MISMATCH",
     "MAX_FRAME_BYTES",
     "FrameCorruptionError",
     "FrameTooLargeError",
@@ -124,11 +125,17 @@ WIRE_VERSION = 1
 
 #: remote-transport protocol version: the frame layout plus the message
 #: schema both ends must share.  Bumped whenever either changes (v2
-#: added CRC32 frame checksums and the draining frame); a client and a
-#: worker built at different versions refuse each other at handshake
-#: time with a message naming both numbers, instead of failing
-#: mid-search on an undecodable frame.
-PROTOCOL_VERSION = 2
+#: added CRC32 frame checksums and the draining frame, v3 the numerics
+#: fingerprint in ``hello`` and ``welcome``); a client and a worker
+#: built at different versions refuse each other at handshake time
+#: with a message naming both numbers, instead of failing mid-search
+#: on an undecodable frame.
+PROTOCOL_VERSION = 3
+
+#: ``reason`` of the handshake refusal between peers whose numerics
+#: fingerprints differ (:mod:`repro.parallel._fingerprint`): their
+#: search results would not be bitwise equal
+FINGERPRINT_MISMATCH = "fingerprint_mismatch"
 
 #: refuse frames larger than this (a corrupt length prefix must not
 #: make a worker allocate gigabytes); large models override per call
@@ -266,26 +273,33 @@ def read_frame(stream, max_bytes: int = MAX_FRAME_BYTES) -> dict | None:
 
 
 # -- protocol messages ---------------------------------------------------
-def hello_message(token: str | None = None) -> dict:
-    """Client → worker handshake opener (protocol/payload versions +
-    auth token).  Both versions ride the frame so a mismatched build is
-    refused here, with a message naming the two versions, instead of
-    failing later on an unknown frame."""
+def hello_message(token: str | None = None,
+                  fingerprint: str | None = None) -> dict:
+    """Client → worker handshake opener (protocol/payload versions,
+    auth token and the client's numerics fingerprint).  Both versions
+    ride the frame so a mismatched build is refused here, with a
+    message naming the two versions, instead of failing later on an
+    unknown frame; a worker whose numerics differ refuses the same way
+    (:data:`FINGERPRINT_MISMATCH`)."""
     return {
         "type": "hello",
         "protocol": PROTOCOL_VERSION,
         "version": WIRE_VERSION,
         "token": token,
+        "fingerprint": fingerprint,
     }
 
 
-def welcome_message(capacity: int = 1) -> dict:
-    """Worker → client handshake acceptance (advertised capacity)."""
+def welcome_message(capacity: int = 1,
+                    fingerprint: str | None = None) -> dict:
+    """Worker → client handshake acceptance (advertised capacity and
+    the worker's numerics fingerprint)."""
     return {
         "type": "welcome",
         "protocol": PROTOCOL_VERSION,
         "version": WIRE_VERSION,
         "capacity": int(capacity),
+        "fingerprint": fingerprint,
     }
 
 
@@ -296,9 +310,13 @@ def draining_message() -> dict:
     return {"type": "draining"}
 
 
-def error_message(error: str) -> dict:
-    """Either direction: a fatal, connection-scoped error."""
-    return {"type": "error", "error": str(error)}
+def error_message(error: str, reason: str | None = None) -> dict:
+    """Either direction: a fatal, connection-scoped error; ``reason``
+    names a refusal the peer acts on (:data:`FINGERPRINT_MISMATCH`)."""
+    message = {"type": "error", "error": str(error)}
+    if reason is not None:
+        message["reason"] = reason
+    return message
 
 
 def job_message(job: str, payload: dict) -> dict:

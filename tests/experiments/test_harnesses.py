@@ -117,6 +117,32 @@ class TestCommon:
         with pytest.raises(AssertionError, match="must not search"):
             get_lpq_result("resnet18", "smoke")
 
+    @pytest.mark.parametrize("stamp", [None, "0" * 16])
+    def test_record_from_other_numerics_is_a_miss(self, isolated_zoo,
+                                                  monkeypatch, stamp):
+        """A stored record without this process's numerics fingerprint
+        (written before fingerprints existed, or on a host whose kernels
+        round differently) re-runs the search instead of replaying."""
+        import json
+
+        from repro.experiments import common
+
+        _, _, _, rec = get_lpq_result("resnet18", "smoke")
+        path = isolated_zoo / "results" / f"{rec['digest']}.json"
+        stale = dict(rec)
+        if stamp is None:
+            del stale["fingerprint"]
+        else:
+            stale["fingerprint"] = stamp
+        path.write_text(json.dumps(stale))
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("must not search")
+
+        monkeypatch.setattr(common, "lpq_quantize", no_search)
+        with pytest.raises(AssertionError, match="must not search"):
+            get_lpq_result("resnet18", "smoke")
+
     def test_committed_sweep_is_the_harness_search(self):
         from repro.experiments.common import _paper_spec
         from repro.models import MODEL_REGISTRY
@@ -129,6 +155,22 @@ class TestCommon:
         assert sorted(spec.digest() for spec in specs.values()) == sorted(
             _paper_spec(name, "fast").digest() for name in MODEL_REGISTRY
         )
+
+
+class TestSearchAblation:
+    @pytest.mark.parametrize("effort", sorted(EFFORTS))
+    def test_each_variant_turns_off_one_switch(self, effort):
+        from repro.experiments.ablations import search_variants
+
+        base = EFFORTS[effort].config
+        variants = search_variants(base)
+        assert variants["full"] == base
+        full = dataclasses.asdict(base)
+        for name, switch in (("no_diversity", "diversity"),
+                             ("no_blockwise", "blockwise")):
+            variant = dataclasses.asdict(variants[name])
+            assert {k for k in full if variant[k] != full[k]} == {switch}
+            assert variant[switch] is False
 
 
 class TestFig1:

@@ -22,6 +22,7 @@ from repro.quant import lpq_quantize
 from repro.serve.remote import WorkerServer
 from repro.serve.server import SearchClient, SearchServer
 from repro.spec import CalibSpec, SearchSpec
+from repro.parallel._fingerprint import numerics_fingerprint
 from repro.spec.wire import frame_message, hello_message, read_frame
 
 from ..serve.conftest import SEARCH
@@ -77,7 +78,8 @@ class TestWorkerEmissionReconciles:
         host, port = worker.host, worker.port
         sock = socket.create_connection((host, port), timeout=10)
         rfile = sock.makefile("rb")
-        sock.sendall(frame_message(hello_message()))
+        sock.sendall(frame_message(
+            hello_message(fingerprint=numerics_fingerprint())))
         assert read_frame(rfile)["type"] == "welcome"
         collected: list[dict] = []
         done = threading.Event()
@@ -127,7 +129,8 @@ class TestByeFlush:
                 (worker.host, worker.port), timeout=10
             )
             rfile = sock.makefile("rb")
-            sock.sendall(frame_message(hello_message()))
+            sock.sendall(frame_message(
+                hello_message(fingerprint=numerics_fingerprint())))
             assert read_frame(rfile)["type"] == "welcome"
             worker.perf.counter("worker.evaluations").inc(7)
             sock.sendall(frame_message({"type": "bye"}))

@@ -108,3 +108,62 @@ class TestSharedPools:
             assert good.fits == [replica.evaluate(s) for s in good_cands]
         finally:
             pool.close()
+
+
+#: evaluated in a pool worker: the jobs it holds a replica for
+_HELD = ("sorted(__import__('repro.parallel.executor', "
+         "fromlist=['_SHARED_STATE'])._SHARED_STATE)")
+
+
+class TestReleasedJobs:
+    """A pool keeps replicas for the jobs in flight only: a finished
+    job's replica is dropped, so a long sweep does not grow a worker by
+    one model copy per job it has served."""
+
+    def test_process_worker_drops_released_replicas(self, two_specs):
+        results: queue.SimpleQueue = queue.SimpleQueue()
+        pool = make_shared_pool(
+            two_specs, ExecutorConfig("process", workers=1), results
+        )
+        try:
+            pool.submit("cnn", 0, 0, _candidates(two_specs["cnn"], 1))
+            _drain(results, 1)
+            assert pool._pool.apply(eval, (_HELD,)) == ["cnn"]
+            pool.release("cnn")
+            cands = _candidates(two_specs["mlp"], 2)
+            pool.submit("mlp", 0, 0, cands)
+            (res,) = _drain(results, 1)
+            assert pool._pool.apply(eval, (_HELD,)) == ["mlp"]
+        finally:
+            pool.close()
+        replica = two_specs["mlp"].build()
+        assert res.fits == [replica.evaluate(s) for s in cands]
+
+    def test_serial_pool_drops_released_replica(self, two_specs):
+        results: queue.SimpleQueue = queue.SimpleQueue()
+        pool = make_shared_pool(two_specs, ExecutorConfig(), results)
+        pool.submit("cnn", 0, 0, _candidates(two_specs["cnn"], 1))
+        _drain(results, 1)
+        pool.release("cnn")
+        assert pool._replicas == {}
+
+    def test_scheduler_releases_each_finished_job(self, serve_setup,
+                                                  monkeypatch):
+        from repro.quant import LPQConfig
+        from repro.serve import SearchScheduler
+        from repro.serve.pool import SharedSerialPool
+
+        released = []
+        real = SharedSerialPool.release
+        monkeypatch.setattr(
+            SharedSerialPool, "release",
+            lambda self, job: (released.append(job), real(self, job)),
+        )
+        cnn, mlp, images = serve_setup
+        config = LPQConfig(population=4, passes=1, cycles=1, block_size=2,
+                           diversity_parents=2, hw_widths=(4, 8))
+        scheduler = SearchScheduler()
+        scheduler.submit("a", cnn, images, config=config)
+        scheduler.submit("b", mlp, images, config=config)
+        scheduler.run()
+        assert sorted(released) == ["a", "b"]

@@ -15,16 +15,24 @@ The frame codec is property-tested: every message survives encode →
 arbitrary TCP segmentation → decode.
 """
 
+import contextlib
+import dataclasses
+import os
 import queue
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.parallel import ExecutorConfig, parse_address
+from repro.parallel._fingerprint import numerics_fingerprint
+from repro.perf import get_perf
 from repro.quant import lpq_quantize
 from repro.serve import SearchScheduler, WorkerPool, make_shared_pool
 from repro.serve.remote import (
@@ -35,6 +43,7 @@ from repro.serve.remote import (
 )
 from repro.spec import CalibSpec, SearchSpec
 from repro.spec.wire import (
+    FINGERPRINT_MISMATCH,
     FrameDecoder,
     decode_solution,
     encode_solution,
@@ -196,7 +205,8 @@ class TestHandshake:
                     time.sleep(0.01)
                 (session,) = server._sessions
                 server._broadcast_metrics(sample)
-                sock.sendall(frame_message(hello_message()))
+                sock.sendall(frame_message(
+                    hello_message(fingerprint=numerics_fingerprint())))
                 rfile = sock.makefile("rb")
                 assert read_frame(rfile)["type"] == "welcome"
                 # the flag is set just after the welcome write returns
@@ -217,6 +227,79 @@ class TestHandshake:
 
 def _remote_executor(addresses, workers=None):
     return ExecutorConfig("remote", addresses=list(addresses))
+
+
+@contextlib.contextmanager
+def _worker_process(**env):
+    """One ``scripts/run_worker.py`` process with ``env`` added to its
+    environment; yields its address."""
+    root = Path(__file__).resolve().parents[2]
+    proc = subprocess.Popen(
+        [sys.executable, str(root / "scripts/run_worker.py"), "--quiet"],
+        stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src"), **env},
+    )
+    try:
+        line = proc.stdout.readline()
+        assert line.startswith("worker listening on "), line
+        yield line.split()[-1]
+    finally:
+        proc.terminate()
+        proc.wait(30)
+        proc.stdout.close()
+
+
+class TestNumericsFingerprint:
+    """A worker whose kernels round differently from the client's is
+    refused at the handshake, so it can never put its bits into a
+    search; a worker with the client's numerics is accepted."""
+
+    @staticmethod
+    def _mismatches() -> int:
+        return get_perf().counter("remote.fingerprint_mismatch").value
+
+    def test_other_blas_kernel_refused_search_runs_locally(self):
+        ref = lpq_quantize(spec=SPEC)
+        before = self._mismatches()
+        with _worker_process(OPENBLAS_CORETYPE="Prescott") as address:
+            with pytest.warns(RuntimeWarning, match="fingerprint"):
+                got = lpq_quantize(spec=dataclasses.replace(
+                    SPEC, executor=_remote_executor([address])
+                ))
+        assert self._mismatches() == before + 1
+        assert got.solution == ref.solution
+        assert got.fitness == ref.fitness
+        assert got.history.best_fitness == ref.history.best_fitness
+
+    def test_refusal_names_its_reason_on_both_ends(self):
+        with _worker_process(OPENBLAS_CORETYPE="Prescott") as address:
+            host, port = parse_address(address)
+            with socket.create_connection((host, port), timeout=30) as sock:
+                sock.sendall(frame_message(
+                    hello_message(fingerprint=numerics_fingerprint())))
+                reply = read_frame(sock.makefile("rb"))
+            assert reply["type"] == "error"
+            assert reply["reason"] == FINGERPRINT_MISMATCH
+            pool = SharedRemotePool({}, [address], queue.SimpleQueue())
+            with pytest.warns(RuntimeWarning, match="fingerprint"):
+                pool.start()
+            try:
+                assert not pool.healthy()
+                assert list(pool.refused) == [address]
+                assert "fingerprint" in pool.refused[address]
+            finally:
+                pool.close()
+
+    def test_same_numerics_process_worker_stays_bitwise(self):
+        ref = lpq_quantize(spec=SPEC)
+        before = self._mismatches()
+        with _worker_process() as address:
+            got = lpq_quantize(spec=dataclasses.replace(
+                SPEC, executor=_remote_executor([address])
+            ))
+        assert self._mismatches() == before
+        assert got.solution == ref.solution
+        assert got.fitness == ref.fitness
 
 
 class TestRemoteBitwiseParity:
@@ -610,7 +693,7 @@ class TestResilience:
 
         monkeypatch.setattr(
             remote_mod, "hello_message",
-            lambda token: dict(hello_message(token), protocol=999),
+            lambda *args: dict(hello_message(*args), protocol=999),
         )
         with WorkerServer() as server:
             results: queue.SimpleQueue = queue.SimpleQueue()

@@ -167,6 +167,30 @@ class TestRestartRecovery:
             _wait_states(server, {"cold": "done"})
             assert server.stats["executed"] == 1
 
+    def test_done_job_from_other_numerics_reruns_on_restart(
+            self, tmp_path, serial_refs):
+        """A job the journal calls done, whose stored record carries
+        another numerics fingerprint (the daemon restarted on other
+        kernels or after a bit change), re-runs instead of serving a
+        record this host would not compute — or failing to serve any."""
+        import json
+
+        data_dir = tmp_path / "daemon"
+        with SearchServer(data_dir=data_dir, perf=PerfRegistry()) as server:
+            server.submit_job(_spec(10), name="j")
+            _wait_states(server, {"j": "done"})
+            digest = server._get_job("j").digest
+        path = data_dir / "results" / f"{digest}.json"
+        record = json.loads(path.read_text())
+        path.write_text(json.dumps({**record, "fingerprint": "0" * 16}))
+        with SearchServer(data_dir=data_dir, perf=PerfRegistry()) as server:
+            _wait_states(server, {"j": "done"})
+            assert server.stats["executed"] == 1
+            assert server.stats["replayed"] == 0
+            rerun = server.job_record("j")
+            _assert_bitwise(rerun, serial_refs[10])
+            assert rerun == {**record, "wall_s": rerun["wall_s"]}
+
     def test_sigkill_subprocess_restart(self, tmp_path, serial_refs):
         """The real thing: ``run_server.py`` killed with SIGKILL mid-run,
         restarted on the same ``--data-dir``, clients reconnect and the

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.parallel._fingerprint import numerics_fingerprint
 from repro.perf import PerfRegistry
 from repro.serve.store import JOURNAL_OPS, Journal, ResultStore, result_record
 
@@ -147,16 +148,35 @@ class TestJournalCompaction:
         assert not list(tmp_path.glob("*.tmp"))  # temp file cleaned up
 
 
+def _record(fitness: float) -> dict:
+    """A result record as this process would store it."""
+    return {"fitness": fitness, "fingerprint": numerics_fingerprint()}
+
+
 class TestResultStoreAtomicity:
     def test_roundtrip_and_cache_stats(self, tmp_path):
         perf = PerfRegistry()
         store = ResultStore(tmp_path / "results", perf=perf)
         digest = "a" * 64
         assert store.load(digest) is None
-        store.store(digest, {"fitness": 0.5})
-        assert store.load(digest) == {"fitness": 0.5}
+        store.store(digest, _record(0.5))
+        assert store.load(digest) == _record(0.5)
         stats = perf.cache("serve.results")
         assert (stats.hits, stats.misses) == (1, 1)
+
+    @pytest.mark.parametrize("stamp", [None, "0" * 16])
+    def test_record_from_other_numerics_is_a_miss(self, tmp_path, stamp):
+        """A record stored without this process's numerics fingerprint
+        (before fingerprints existed, or on a host whose kernels round
+        differently) is a miss, so the search re-runs."""
+        perf = PerfRegistry()
+        store = ResultStore(tmp_path, perf=perf)
+        record = {"fitness": 0.5}
+        if stamp is not None:
+            record["fingerprint"] = stamp
+        store.store("d" * 64, record)
+        assert store.load("d" * 64) is None
+        assert perf.cache("serve.results").misses == 1
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -185,7 +205,7 @@ class TestResultStoreAtomicity:
 
         monkeypatch.setattr(json, "dump", dies_mid_write)
         with pytest.raises(OSError, match="killed mid-write"):
-            store.store(digest, {"fitness": 0.5})
+            store.store(digest, _record(0.5))
         monkeypatch.setattr(json, "dump", real_dump)
         assert not store.path(digest).exists()  # nothing torn published
         assert not list(tmp_path.glob("*.tmp"))  # temp file cleaned up
@@ -193,12 +213,12 @@ class TestResultStoreAtomicity:
 
         # now with a previous complete entry: the failed overwrite
         # leaves the old record untouched
-        store.store(digest, {"fitness": 1.0})
+        store.store(digest, _record(1.0))
         monkeypatch.setattr(json, "dump", dies_mid_write)
         with pytest.raises(OSError):
-            store.store(digest, {"fitness": 2.0})
+            store.store(digest, _record(2.0))
         monkeypatch.setattr(json, "dump", real_dump)
-        assert store.load(digest) == {"fitness": 1.0}
+        assert store.load(digest) == _record(1.0)
 
     def test_run_search_cache_is_the_atomic_store(self):
         """``run_search.py --cache-dir`` must route through ResultStore
