@@ -32,8 +32,9 @@ Usage::
     python scripts/count_gelu_cube.py --stride 4099    # a quick sample
     python scripts/count_gelu_cube.py --processes 2 --json
 
-The full count takes about 20 minutes on one core of a 2-vCPU Xeon
-(``--processes`` splits it).
+The full count took 841 s with ``--processes 2`` on a 2-vCPU Xeon with
+AVX-512 (SVML ``powf``), and 496 s with AVX-512 disabled (libm
+``powf``).
 """
 
 from __future__ import annotations

@@ -178,14 +178,12 @@ _SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 
 
 def _cube(x: np.ndarray) -> np.ndarray:
-    """``x**3`` as a float64 product rounded once to ``x.dtype``.
+    """``x**3`` as a float64 product, cast back to ``x.dtype``.
 
-    ``x * x`` is exact in float64 and the second product rounds once,
-    so the result depends only on IEEE multiply and convert — not on
-    which ``pow`` kernel numpy dispatches to — and it is correctly
-    rounded except where that float64 product lands exactly on a
-    float32 rounding midpoint (``scripts/count_gelu_cube.py`` counts
-    those over every float32).
+    For float32 ``x``, ``x * x`` is exact in float64, so the result
+    depends only on IEEE multiply and convert — not on which ``pow``
+    kernel numpy dispatches to — and it is the correctly rounded cube
+    on all 2^32 inputs (``scripts/count_gelu_cube.py`` checks them).
     """
     x64 = x.astype(np.float64)
     return (x64 * x64 * x64).astype(x.dtype)

@@ -5,7 +5,12 @@ import io
 import pytest
 
 from repro.parallel import ExecutorConfig, make_executor
-from repro.parallel._blas import _openblas, blas_threads, one_blas_thread
+from repro.parallel._blas import (
+    _openblas,
+    blas_corename,
+    blas_threads,
+    one_blas_thread,
+)
 from repro.perf import PerfRegistry
 from repro.quant import LPQConfig, lpq_quantize
 
@@ -78,6 +83,7 @@ def test_no_openblas_mapped_is_a_no_op(unresolved, monkeypatch):
     maps = "00400000-00452000 r-xp 00000000 08:02 173521 /usr/bin/python\n"
     monkeypatch.setattr("builtins.open", lambda *a, **k: io.StringIO(maps))
     assert blas_threads() is None
+    assert blas_corename.__wrapped__() is None
     one_blas_thread()
 
 
