@@ -1037,15 +1037,19 @@ class SharedRemotePool(WorkerPool):
     def _refuse(self, address: str, exc: _FingerprintMismatch) -> None:
         """Retire ``address`` for good: its worker would not reproduce
         this process's bits.  The rest of the fleet takes its chunks;
-        with every address refused, the local fallback does."""
+        with every address refused, the local fallback does — chunks
+        parked for a rejoin included."""
         self.perf.counter("remote.fingerprint_mismatch").inc()
         with self._lock:
             if address in self.addresses:
                 self.addresses.remove(address)
             self._redial.pop(address, None)
             self.refused[address] = str(exc)
+            fleet_gone = not self.addresses
         warnings.warn(f"SharedRemotePool: {exc}", RuntimeWarning,
                       stacklevel=3)
+        if fleet_gone:
+            self._flush_parked()
 
     def _admit(self, worker: _RemoteWorker, rejoin: bool) -> None:
         """Install a freshly-connected worker: replace any dead record

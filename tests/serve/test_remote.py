@@ -230,17 +230,28 @@ def _remote_executor(addresses, workers=None):
 
 
 @contextlib.contextmanager
-def _worker_process(**env):
-    """One ``scripts/run_worker.py`` process with ``env`` added to its
-    environment; yields its address."""
+def _worker_process(port=0, **env):
+    """One ``scripts/run_worker.py`` process on ``port`` (0: ephemeral)
+    with ``env`` added to its environment; yields its address.  A port
+    just freed by a killed worker may take a moment to bind again, so
+    a failed start is retried for up to 30 s."""
     root = Path(__file__).resolve().parents[2]
-    proc = subprocess.Popen(
-        [sys.executable, str(root / "scripts/run_worker.py"), "--quiet"],
-        stdout=subprocess.PIPE, text=True,
-        env={**os.environ, "PYTHONPATH": str(root / "src"), **env},
-    )
-    try:
+    deadline = time.monotonic() + 30
+    while True:
+        proc = subprocess.Popen(
+            [sys.executable, str(root / "scripts/run_worker.py"),
+             "--quiet", "--port", str(port)],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src"), **env},
+        )
         line = proc.stdout.readline()
+        if line.startswith("worker listening on ") \
+                or time.monotonic() > deadline:
+            break
+        proc.wait(30)
+        proc.stdout.close()
+        time.sleep(0.1)
+    try:
         assert line.startswith("worker listening on "), line
         yield line.split()[-1]
     finally:
@@ -858,6 +869,47 @@ class TestResilience:
         assert second_half == expected[3:]
         assert perf.counter("fault.rejoins").value >= 1
         assert perf.counter("fault.redials").value >= 1
+
+    def test_parked_chunks_run_locally_when_the_rejoin_is_refused(self):
+        """The fleet goes down with chunks parked for a rejoin, and the
+        worker comes back on another BLAS kernel: it is refused, and
+        with no address left the parked chunks run on the local
+        fallback, bitwise equal to serial, instead of failing once
+        ``fleet_wait_s`` runs out."""
+        from repro.perf import PerfRegistry
+        from repro.serve.pool import encode_pool_wires
+        from repro.serve.resilience import RetryPolicy
+
+        spec, solutions, expected = _mlp_pool_setup()
+        w0 = WorkerServer().start()
+        perf = PerfRegistry()
+        results: queue.SimpleQueue = queue.SimpleQueue()
+        pool = SharedRemotePool(
+            encode_pool_wires({"j": spec}), [w0.address], results,
+            perf=perf,
+            retry=RetryPolicy(max_attempts=10, backoff_base_s=0.02,
+                              backoff_max_s=0.1, heartbeat_s=0.05,
+                              fleet_wait_s=120.0),
+        ).start()
+        try:
+            for idx, sol in enumerate(solutions[:3]):
+                pool.submit("j", 0, idx, [sol])
+            first_half = _collect(results, 3)
+            w0.kill()
+            for idx, sol in enumerate(solutions[3:]):
+                pool.submit("j", 1, idx, [sol])
+            with pytest.warns(RuntimeWarning, match="fingerprint"), \
+                    _worker_process(port=w0.port,
+                                    OPENBLAS_CORETYPE="Prescott"):
+                second_half = _collect(results, len(solutions) - 3)
+        finally:
+            pool.close()
+            w0.stop()
+        assert first_half == expected[:3]
+        assert second_half == expected[3:]
+        assert perf.counter("fault.parked").value >= 1
+        assert perf.counter("remote.fingerprint_mismatch").value == 1
+        assert list(pool.refused) == [w0.address]
 
     def test_clean_close_leaks_no_threads(self):
         """The leak-surfacing satellite: a clean fleet shutdown joins
