@@ -182,8 +182,13 @@ def _run_sweep(args) -> int:
             to_run[name] = spec
     wall = 0.0
     if to_run:
+        # one job in flight per worker: each worker then holds at most
+        # that many evaluator replicas, however long the sweep
+        executor = next(iter(to_run.values())).executor or ExecutorConfig()
+        workers = (1 if executor.backend == "serial"
+                   else executor.resolved_workers())
         start = time.perf_counter()
-        results = lpq_quantize_many(to_run)
+        results = lpq_quantize_many(to_run, max_active_jobs=workers)
         wall = time.perf_counter() - start
         for name, result in results.items():
             record = result_record(to_run[name], result, None)

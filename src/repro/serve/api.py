@@ -73,6 +73,7 @@ def lpq_quantize_many(
     act_sf_mode: str = "calibrated",
     executor=None,
     target_chunk_s: float = 0.25,
+    max_active_jobs: int | None = None,
 ) -> dict[str, LPQResult]:
     """Run one LPQ search per model, multiplexed on a shared pool.
 
@@ -83,8 +84,10 @@ def lpq_quantize_many(
     (a mapping must have an entry for every job — partial maps raise
     ``KeyError`` rather than silently falling back to defaults).
     ``executor`` is the usual :class:`~repro.parallel.ExecutorConfig`;
-    all jobs share the one pool it describes.  Every per-job result is
-    bitwise-identical to a standalone
+    all jobs share the one pool it describes.  ``max_active_jobs``
+    (default: no bound) runs at most that many jobs at once, which
+    bounds the pool workers' memory on a long fleet.  Every per-job
+    result is bitwise-identical to a standalone
     :func:`repro.quant.lpq_quantize` call with the same arguments.
 
     Declarative alternative: pass a list of
@@ -161,7 +164,8 @@ def lpq_quantize_many(
                 )
             executor = next(iter(carried.values()), None)
         scheduler = SearchScheduler(
-            executor=executor, target_chunk_s=target_chunk_s
+            executor=executor, target_chunk_s=target_chunk_s,
+            max_active_jobs=max_active_jobs,
         )
         for name, spec in spec_jobs.items():
             scheduler.submit(name, spec=spec)
@@ -177,7 +181,8 @@ def lpq_quantize_many(
     else:
         jobs = {f"job{i}": model for i, model in enumerate(models)}
     scheduler = SearchScheduler(
-        executor=executor, target_chunk_s=target_chunk_s
+        executor=executor, target_chunk_s=target_chunk_s,
+        max_active_jobs=max_active_jobs,
     )
     for name, model in jobs.items():
         scheduler.submit(

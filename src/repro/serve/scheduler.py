@@ -171,6 +171,11 @@ class SearchScheduler:
     (low dispatch overhead), expensive-model jobs ship small ones (no
     pool starvation).  The first batch of every job is submitted at
     chunk size 1 to seed the cost estimate with maximum parallelism.
+    ``max_active_jobs`` bounds how many jobs are in flight at once
+    (``None``: all of them); the rest start, in submission order, as
+    jobs end.  Every pool worker holds one evaluator replica per job
+    it has served until that job ends, so the bound caps worker memory
+    on long sweeps.
 
     Submit jobs, then call :meth:`run`; per-job :class:`SearchHandle`
     futures resolve to :class:`~repro.quant.LPQResult` values that are
@@ -214,14 +219,18 @@ class SearchScheduler:
         perf=None,
         on_batch=None,
         on_finished=None,
+        max_active_jobs: int | None = None,
     ) -> None:
         if target_chunk_s <= 0:
             raise ValueError("target_chunk_s must be positive")
+        if max_active_jobs is not None and max_active_jobs < 1:
+            raise ValueError("max_active_jobs must be at least 1")
         if not 0.0 < cost_ewma <= 1.0:
             raise ValueError("cost_ewma must be in (0, 1]")
         self.executor_config = executor or ExecutorConfig()
         self.target_chunk_s = target_chunk_s
         self.cost_ewma = cost_ewma
+        self.max_active_jobs = max_active_jobs
         self.perf = perf if perf is not None else get_perf()
         #: progress hook — called as ``on_batch(name, info)`` after each
         #: evaluated candidate batch with the job's generation counter,
@@ -409,12 +418,18 @@ class SearchScheduler:
                 if st.search is not None
             },
         )
-        outstanding = 0
+        waiting = list(pending.values())[::-1]  # pop() = submission order
+        limit = self.max_active_jobs or len(waiting)
+        outstanding = active = 0
         self._pool = pool
         try:
-            for st in pending.values():
-                outstanding += self._start_job(st, pool)
-            while outstanding:
+            while True:
+                while waiting and active < limit:
+                    submitted = self._start_job(waiting.pop(), pool)
+                    outstanding += submitted
+                    active += submitted > 0
+                if not outstanding:
+                    break
                 res = results_q.get()
                 outstanding -= 1
                 st = pending.get(res.job)
@@ -422,6 +437,7 @@ class SearchScheduler:
                     continue  # stale chunk of a failed/finished job
                 if res.error is not None:
                     self._finalize_failed(st, res.error)
+                    active -= 1
                     continue
                 st.perf.merge_snapshot(res.perf_delta)
                 self._update_cost(st, res)
@@ -437,7 +453,9 @@ class SearchScheduler:
                         st.memo[sol] = fit
                     fits = [st.memo[sol] for sol in st.batch]
                     self._emit_batch(st)
-                    outstanding += self._advance(st, pool, fits)
+                    submitted = self._advance(st, pool, fits)
+                    outstanding += submitted
+                    active -= submitted == 0
         finally:
             self._pool = None
             pool.close()

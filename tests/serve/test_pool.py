@@ -167,3 +167,26 @@ class TestReleasedJobs:
         scheduler.submit("b", mlp, images, config=config)
         scheduler.run()
         assert sorted(released) == ["a", "b"]
+
+    def test_bounded_scheduler_worker_holds_active_jobs_only(
+            self, serve_setup):
+        """With ``max_active_jobs=1`` a sweep's worker holds one replica
+        at a time, not one per job the sweep has started."""
+        from repro.quant import LPQConfig
+        from repro.serve import SearchScheduler
+
+        cnn, mlp, images = serve_setup
+        config = LPQConfig(population=4, passes=1, cycles=1, block_size=2,
+                           diversity_parents=2, hw_widths=(4, 8))
+        held = []
+        scheduler = SearchScheduler(
+            ExecutorConfig("process", workers=1), max_active_jobs=1,
+            on_batch=lambda name, info: held.append(
+                scheduler._pool._pool.apply(eval, (_HELD,))),
+        )
+        for name, model in (("a", cnn), ("b", mlp), ("c", cnn)):
+            scheduler.submit(name, model, images, config=config)
+        results = scheduler.run()
+        assert sorted(results) == ["a", "b", "c"]
+        assert max(len(jobs) for jobs in held) == 1
+        assert [jobs[0] for jobs in held] == sorted(jobs[0] for jobs in held)

@@ -186,6 +186,40 @@ class TestSchedulerLifecycle:
         assert scheduler.handles["first"].done
         assert second["second"].solution == _standalone(mlp, images).solution
 
+    def test_max_active_jobs_runs_jobs_in_turn(self, serve_setup):
+        """A bound of one runs the jobs one after another in submission
+        order — a failing job frees its slot too — with every result
+        bitwise-equal to the unbounded run."""
+        cnn, mlp, images = serve_setup
+        bad_model = build_failing_cnn()
+        bad_model.eval()
+        jobs = {"a": cnn, "bad": bad_model, "b": mlp, "c": cnn}
+        runs = {}
+        for bound in (None, 1):
+            reset_perf()
+            order = []
+            scheduler = SearchScheduler(
+                executor=ExecutorConfig("process", workers=2),
+                max_active_jobs=bound,
+                on_batch=lambda name, info: order.append(name),
+                on_finished=lambda name, handle: order.append(name),
+            )
+            for name, model in jobs.items():
+                scheduler.submit(name, model, images, config=SEARCH)
+            runs[bound] = scheduler.run()
+            assert scheduler.handles["bad"].failed
+        assert sorted(runs[1]) == ["a", "b", "c"]
+        for name in ("a", "b", "c"):
+            assert runs[1][name].solution == runs[None][name].solution
+            assert runs[1][name].fitness == runs[None][name].fitness
+            assert (runs[1][name].history.best_fitness
+                    == runs[None][name].history.best_fitness)
+        # the last run's events: each job's, uninterrupted, in turn
+        assert [k for i, k in enumerate(order)
+                if i == 0 or order[i - 1] != k] == ["a", "bad", "b", "c"]
+        with pytest.raises(ValueError, match="max_active_jobs"):
+            SearchScheduler(max_active_jobs=0)
+
     def test_submit_validation(self, serve_setup):
         cnn, _, images = serve_setup
         scheduler = SearchScheduler()
