@@ -23,14 +23,15 @@ Dekker's two-product (no float64 overflow or underflow for any finite
 float32).  ``float32(p)`` can differ from the correctly rounded cube
 only when ``p`` sits exactly on a float32 rounding midpoint while
 ``e != 0`` (double rounding); those inputs are rounded toward ``e``
-instead.  ``--verify N`` re-checks up to N of the inputs found wrong
-for each kernel against exact ``fractions.Fraction`` arithmetic.
+instead.  Up to 300 of the inputs found wrong for each kernel are
+re-checked against exact ``fractions.Fraction`` arithmetic
+(:func:`exact_cube_f32`, which the tier-1 test also uses).
 
 Usage::
 
     python scripts/count_gelu_cube.py                  # all 2^32 inputs
     python scripts/count_gelu_cube.py --stride 4099    # a quick sample
-    python scripts/count_gelu_cube.py --processes 2 --json
+    python scripts/count_gelu_cube.py --processes 2
 
 The full count took 841 s with ``--processes 2`` on a 2-vCPU Xeon with
 AVX-512 (SVML ``powf``), and 496 s with AVX-512 disabled (libm
@@ -40,7 +41,6 @@ AVX-512 (SVML ``powf``), and 496 s with AVX-512 disabled (libm
 from __future__ import annotations
 
 import argparse
-import json
 import multiprocessing
 import platform
 import sys
@@ -56,6 +56,9 @@ from repro.nn.functional import _cube  # noqa: E402
 
 _SPLIT = float(2**27 + 1)
 _F32_MAX = float(np.finfo(np.float32).max)
+#: inputs per vectorized pass (memory), and Fraction re-checks per kernel
+_CHUNK = 1 << 22
+_VERIFY = 300
 
 
 def _two_product_error(a: np.ndarray, b: np.ndarray, p: np.ndarray):
@@ -99,8 +102,9 @@ def _mismatch(got: np.ndarray, want: np.ndarray) -> np.ndarray:
     return (got.view(np.uint32) != want.view(np.uint32)) & ~both_nan
 
 
-def _fraction_round(x: float) -> float:
-    """Exact ``x^3`` rounded to float32 (ties to even), as a float."""
+def exact_cube_f32(x: float) -> float:
+    """``x^3`` in exact rationals, rounded once to float32 (to nearest,
+    ties to even, overflow to ±inf, gradual underflow), as a float."""
     if x != x or x == 0.0 or abs(x) == np.inf:
         return x  # NaN, a signed zero or an infinity cubes to itself
     q = Fraction(x) ** 3
@@ -112,21 +116,20 @@ def _fraction_round(x: float) -> float:
     n, rem = divmod(q, ulp)
     if rem * 2 > ulp or (rem * 2 == ulp and n % 2):
         n += 1
-    value = n * ulp
-    if value >= Fraction(2) ** 128:
+    if n * ulp >= Fraction(2) ** 128:
         return sign * np.inf
-    return sign * float(value)
+    return sign * float(n * ulp)
 
 
 def _count_range(args) -> tuple[dict, dict]:
-    """Counts and (up to ``verify``) wrongly rounded bit patterns per
+    """Counts and (up to ``_VERIFY``) wrongly rounded bit patterns per
     kernel over the patterns ``lo, lo + stride, ...`` below ``hi``."""
-    lo, hi, stride, chunk, verify = args
+    lo, hi, stride = args
     counts = dict.fromkeys(
         ("inputs", "float64_product_wrong", "powf_wrong", "disagree"), 0)
     wrong = {"float64_product": [], "powf": []}
-    for start in range(lo, hi, chunk * stride):
-        bits = np.arange(start, min(start + chunk * stride, hi), stride,
+    for start in range(lo, hi, _CHUNK * stride):
+        bits = np.arange(start, min(start + _CHUNK * stride, hi), stride,
                          dtype=np.uint64).astype(np.uint32)
         x = bits.view(np.float32)
         with np.errstate(all="ignore"):  # NaN, overflow, underflow
@@ -139,19 +142,18 @@ def _count_range(args) -> tuple[dict, dict]:
         counts["powf_wrong"] += int(bad_old.sum())
         counts["disagree"] += int(_mismatch(new, old).sum())
         for key, bad in (("float64_product", bad_new), ("powf", bad_old)):
-            room = verify - len(wrong[key])
+            room = _VERIFY - len(wrong[key])
             if room > 0:
                 wrong[key].extend(bits[bad][:room].tolist())
     return counts, wrong
 
 
-def count(stride: int = 1, chunk_bits: int = 22, verify: int = 300,
-          processes: int = 1) -> dict:
+def count(stride: int = 1, processes: int = 1) -> dict:
+    """Rounding counts over every ``stride``-th float32 bit pattern."""
     total = 1 << 32
-    chunk = 1 << chunk_bits
-    step = chunk * stride
+    step = _CHUNK * stride
     # contiguous slices, one per task, each a whole number of passes
-    tasks = [(lo, min(lo + step * 64, total), stride, chunk, verify)
+    tasks = [(lo, min(lo + step * 64, total), stride)
              for lo in range(0, total, step * 64)]
     start = time.perf_counter()
     if processes > 1:
@@ -164,11 +166,11 @@ def count(stride: int = 1, chunk_bits: int = 22, verify: int = 300,
     # inputs it says a kernel rounds wrongly
     verified = {}
     for key in ("float64_product", "powf"):
-        patterns = [b for _, w in parts for b in w[key]][:verify]
+        patterns = [b for _, w in parts for b in w[key]][:_VERIFY]
         x = np.array(patterns, dtype=np.uint32).view(np.float32)
         with np.errstate(all="ignore"):
             want = correctly_rounded(x)
-        exact = np.array([_fraction_round(float(v)) for v in x],
+        exact = np.array([exact_cube_f32(float(v)) for v in x],
                          dtype=np.float64).astype(np.float32)
         assert not _mismatch(want, exact).any(), key
         verified[key] = len(patterns)
@@ -188,28 +190,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--stride", type=int, default=1,
                         help="check every STRIDE-th bit pattern "
                              "(default 1: all 2^32)")
-    parser.add_argument("--chunk-bits", type=int, default=22,
-                        help="log2 of the inputs per pass (memory)")
-    parser.add_argument("--verify", type=int, default=300,
-                        help="Fraction re-checks per kernel (default 300)")
     parser.add_argument("--processes", type=int, default=1,
                         help="worker processes (default 1)")
-    parser.add_argument("--json", action="store_true",
-                        help="print the counts as one JSON object")
     args = parser.parse_args(argv)
-    result = count(args.stride, args.chunk_bits, args.verify,
-                   args.processes)
-    if args.json:
-        print(json.dumps(result, sort_keys=True))
-    else:
-        print(f"{result['inputs']:,} float32 inputs "
-              f"(stride {result['stride']}, {result['seconds']} s, "
-              f"numpy {result['numpy']}, SIMD {result['simd']})")
-        print(f"  float64 product not correctly rounded: "
-              f"{result['float64_product_wrong']:,}")
-        print(f"  numpy x**3 (powf) not correctly rounded: "
-              f"{result['powf_wrong']:,}")
-        print(f"  the two disagree: {result['disagree']:,}")
+    result = count(args.stride, args.processes)
+    print(f"{result['inputs']:,} float32 inputs "
+          f"(stride {result['stride']}, {result['seconds']} s, "
+          f"numpy {result['numpy']}, SIMD {result['simd']})")
+    print(f"  float64 product not correctly rounded: "
+          f"{result['float64_product_wrong']:,}")
+    print(f"  numpy x**3 (powf) not correctly rounded: "
+          f"{result['powf_wrong']:,}")
+    print(f"  the two disagree: {result['disagree']:,}")
     return 0
 
 

@@ -2,7 +2,8 @@
 rational arithmetic (``scripts/count_gelu_cube.py`` runs the same
 comparison over all 2^32 float32 inputs)."""
 
-from fractions import Fraction
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,12 @@ import pytest
 from repro.nn import functional as F
 
 from .._bits import assert_bits_equal
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "scripts"))
+try:
+    import count_gelu_cube
+finally:
+    sys.path.pop(0)
 
 #: float32 bit patterns every sample includes: signed zeros, the
 #: subnormal range's ends, the smallest normals, cubes that overflow
@@ -31,25 +38,6 @@ def _overflow_edge() -> list[int]:
             for s in (0, 0x80000000)]
 
 
-def _exact_cube_f32(x: float) -> float:
-    """``x^3`` in exact rationals, rounded once to float32 (to nearest,
-    ties to even, overflow to ±inf, gradual underflow)."""
-    if x != x or x == 0.0 or abs(x) == np.inf:
-        return x  # NaN, a signed zero or an infinity cubes to itself
-    q = Fraction(x) ** 3
-    sign, q = (-1.0 if q < 0 else 1.0), abs(q)
-    exp = q.numerator.bit_length() - q.denominator.bit_length()
-    if Fraction(2) ** exp > q:
-        exp -= 1
-    ulp = Fraction(2) ** (max(exp, -126) - 23)
-    n, rem = divmod(q, ulp)
-    if rem * 2 > ulp or (rem * 2 == ulp and n % 2):
-        n += 1
-    if n * ulp >= Fraction(2) ** 128:
-        return sign * np.inf
-    return sign * float(n * ulp)
-
-
 def _sample(stride: int, offset: int) -> np.ndarray:
     strided = np.arange(offset, 1 << 32, stride, dtype=np.uint64)
     bits = np.concatenate([strided, _SPECIAL, _overflow_edge()])
@@ -61,13 +49,22 @@ def test_cube_is_the_correctly_rounded_cube(stride, offset):
     x = _sample(stride, offset)
     with np.errstate(all="ignore"):
         got = F._cube(x)
-    want = np.array([_exact_cube_f32(float(v)) for v in x],
+    want = np.array([count_gelu_cube.exact_cube_f32(float(v)) for v in x],
                     dtype=np.float64)
     with np.errstate(all="ignore"):
         want = want.astype(np.float32)
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
     assert_bits_equal(got[~nan], want[~nan])
+
+
+def test_count_script_finds_the_cube_correctly_rounded():
+    """The exhaustive count's vectorized exact cube (re-checked there in
+    ``Fraction``), on a strided sample."""
+    result = count_gelu_cube.count(stride=262_147)
+    assert result["inputs"] == -(-(1 << 32) // 262_147)
+    assert result["float64_product_wrong"] == 0
+    assert result["disagree"] <= result["powf_wrong"]
 
 
 def test_cube_keeps_the_dtype():
