@@ -525,17 +525,15 @@ class SearchServer:
                 # a done job's record is read again, not trusted: one
                 # written under other numerics is a miss and re-runs
                 record = self.store.load(job.digest)
-                if record is not None and info["state"] == "done":
-                    job.state, job.cached = "done", True
-                    self.stats["replayed"] += 1
-                elif record is not None:
-                    # the result landed in the store before the crash
-                    # could journal it (or an identical spec already
-                    # ran): done, zero re-evaluation
+                if record is not None:
                     job.state, job.cached, job.record = "done", True, record
-                    self.journal.append("done", name, digest=job.digest,
-                                        cached=True)
                     self.stats["replayed"] += 1
+                    if info["state"] != "done":
+                        # the result landed in the store before the
+                        # crash could journal it (or an identical spec
+                        # already ran): done, zero re-evaluation
+                        self.journal.append("done", name, digest=job.digest,
+                                            cached=True)
                 else:
                     job.state = "queued"
                     if info["state"] == "running":
