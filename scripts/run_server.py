@@ -6,10 +6,12 @@ frame protocol of ``repro.spec.wire`` (the same framing the worker
 fleet speaks): clients submit :class:`repro.spec.SearchSpec` payloads,
 poll status, stream progress events, cancel, and fetch results —
 ``scripts/run_search.py --server HOST:PORT`` is the stock client.
-Accepted jobs run on one shared :class:`repro.serve.SearchScheduler`
-over the backend named by ``--backend`` (serial / process / remote),
-so one daemon can front anything from an in-process pool to a
-remote worker fleet.
+Accepted jobs run on one :class:`repro.serve.SearchScheduler` over the
+backend named by ``--backend`` (serial / process / remote), so one
+daemon can front anything from an in-process pool to a remote worker
+fleet.  A job accepted while others run joins them on the same pool at
+the next chunk result; the pool (and a remote fleet's connections)
+lasts until no job is left.
 
 Jobs are durable under ``--data-dir``: an append-only journal plus a
 ``SearchSpec.digest()``-keyed result store.  Restarting the daemon on
@@ -30,9 +32,9 @@ The client auth token may come from ``--token`` or
 ``--worker-token`` or ``$REPRO_WORKER_TOKEN``.  The server prints one
 ``server listening on host:port`` line once it accepts connections —
 CI and launch scripts key readiness off it.  ``SIGTERM`` stops
-gracefully: the running round is interrupted at the next batch
-boundary *without* terminal journal records, so those jobs re-run on
-the next start.  A crash (or ``SIGKILL``) at any point is recovered
+gracefully: the running jobs are interrupted at the next batch
+boundary *without* terminal journal records, so they (and the jobs
+still queued) re-run on the next start.  A crash (or ``SIGKILL``) at any point is recovered
 the same way from the journal.
 """
 
@@ -75,8 +77,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="auth token for the remote worker fleet "
                              "(default: $REPRO_WORKER_TOKEN, else none)")
     parser.add_argument("--max-jobs-per-round", type=int, default=0,
-                        help="cap on jobs multiplexed per scheduler "
-                             "round (0 = all pending)")
+                        help="cap on jobs in flight at once; the rest "
+                             "wait in priority order (0 = no cap)")
     parser.add_argument("--metrics-interval", type=float, default=1.0,
                         metavar="SECONDS",
                         help="emit one merged fleet telemetry sample "
@@ -119,9 +121,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"server listening on {server.address}", flush=True)
 
     def _term(signum, frame):
-        # SIGTERM = graceful stop: interrupt the round at the next
-        # batch boundary, journal no terminal records for interrupted
-        # jobs — they re-run on the next start
+        # SIGTERM = graceful stop: interrupt the running jobs at the
+        # next batch boundary, journal no terminal records for them —
+        # they and the queued jobs re-run on the next start
         print("server stopping (SIGTERM)", flush=True)
         server.stop()
 

@@ -295,15 +295,35 @@ def _init_shared_worker(jobs: dict, blob_table: dict | None = None) -> None:
             _SHARED_BLOBS_ERROR = traceback.format_exc()
 
 
-def _evaluate_shared_chunk(job: str, solutions, finished=()):
-    """Score ``solutions`` on this worker's replica of ``job``, first
-    dropping the replicas of the ``finished`` jobs."""
+def _register_shared_job(job: str, wire: dict, blob_table) -> None:
+    """Take a job that joined the pool after this worker started: its
+    wire payload, plus the blobs it references."""
+    global _SHARED_BLOBS
+    _SHARED_JOBS[job] = wire
+    if blob_table:
+        from ..spec.blob import attach_transport_table
+
+        _SHARED_BLOBS = attach_transport_table(blob_table,
+                                               store=_SHARED_BLOBS)
+
+
+def _evaluate_shared_chunk(job: str, solutions, live=None, added=None):
+    """Score ``solutions`` on this worker's replica of ``job``.
+
+    ``live`` (the jobs the pool still holds) makes the worker first
+    drop the replica and payload of every other job; ``added`` is the
+    ``(wire, blob table)`` of a job that joined the pool after start.
+    """
     start = time.perf_counter()
     try:
         if _SHARED_STATE is None or _SHARED_JOBS is None:
             raise RuntimeError("shared pool worker not initialized")
-        for name in finished:
-            _SHARED_STATE.pop(name, None)
+        if live is not None:
+            for table in (_SHARED_STATE, _SHARED_JOBS):
+                for name in [name for name in table if name not in live]:
+                    del table[name]
+        if added is not None and job not in _SHARED_JOBS:
+            _register_shared_job(job, *added)
         if _SHARED_BLOBS_ERROR is not None:
             raise RuntimeError(
                 "shared pool worker could not attach its blob table:\n"

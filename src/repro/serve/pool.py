@@ -14,7 +14,9 @@ transport-agnostic API (:class:`WorkerPool`): ``submit(job, seq, chunk,
 solutions)`` hands one tagged chunk to the pool, results arrive on the
 caller-supplied queue as :class:`ChunkResult` messages, and
 ``start``/``close``/``workers``/``healthy`` manage the pool's
-lifecycle.  The scheduler codes against this protocol only, so a
+lifecycle, and ``add``/``release`` let a live pool take a new job and
+drop a finished one, so one pool serves a whole busy period of the
+search daemon.  The scheduler codes against this protocol only, so a
 backend living across a socket is interchangeable with one living in a
 thread.  Backends register in the ``shared_pool`` component registry
 (:mod:`repro.spec.registry`) under the same names
@@ -24,8 +26,9 @@ thread.  Backends register in the ``shared_pool`` component registry
   job; submit evaluates synchronously.  The zero-overhead baseline.
 * ``process`` — :class:`SharedProcessPool`: a
   :class:`multiprocessing.pool.Pool` whose workers receive the full
-  ``job → wire payload`` map at init and build replicas lazily per job
-  on first task.  The payloads are plain JSON dicts
+  ``job → wire payload`` map at init (a job added later rides with its
+  tasks) and build replicas lazily per job on first task.  The
+  payloads are plain JSON dicts
   (:func:`repro.spec.wire.encode_job`) — no pickled evaluator objects
   cross the pool boundary.  Only ``(job, candidates)`` and ``(fitness,
   perf-delta)`` cross per task.  The worker body is the one
@@ -135,10 +138,20 @@ class WorkerPool(abc.ABC):
         """Whether the pool can still evaluate submitted chunks."""
         return True
 
+    def add(self, job: str, spec: EvaluatorSpec, search=None) -> None:
+        """Take one more job on the live pool; its chunks may be
+        submitted once this returns.  ``search`` is the
+        :class:`~repro.spec.SearchSpec` the job was submitted as, if
+        any (it selects the compact wire payload).  Raises
+        ``ValueError`` when the job cannot cross the pool's wire."""
+        raise NotImplementedError(
+            f"{type(self).__name__} cannot take a job after start"
+        )
+
     def release(self, job: str) -> None:
         """``job`` is finished: drop the replica the pool keeps for it,
         so a pool's memory follows the jobs in flight, not every job it
-        has served.  No-op by default."""
+        has served.  Unknown jobs are ignored.  No-op by default."""
 
     def membership(self) -> list[dict]:
         """Per-worker liveness/queue facts for fleet status views.
@@ -189,7 +202,11 @@ class SharedSerialPool(WorkerPool):
             )
         self._results.put(result)
 
+    def add(self, job: str, spec: EvaluatorSpec, search=None) -> None:
+        self._specs[job] = spec
+
     def release(self, job: str) -> None:
+        self._specs.pop(job, None)
         self._replicas.pop(job, None)
 
     def close(self) -> None:
@@ -213,9 +230,12 @@ class SharedProcessPool(WorkerPool):
     per-worker base64 copies.  ``transport.bytes_sent`` /
     ``transport.bytes_saved`` record the shipped and displaced volume.
 
-    The pool cannot address one worker, so :meth:`release` sends the
-    finished job names with every later task, and each worker drops
-    those replicas before it evaluates.
+    The pool cannot address one worker, so every task carries the
+    names of the jobs the pool still holds, and a worker drops the
+    replica and payload of any other job before it evaluates.  For the
+    same reason a job added to the live pool (:meth:`add`) travels with
+    each of its tasks: its wire payload plus the transport table of the
+    blobs it references, which a worker registers on first sight.
     """
 
     def __init__(
@@ -229,7 +249,9 @@ class SharedProcessPool(WorkerPool):
         self.workers = workers
         self.wires = dict(wires)
         self._results = results
-        self._released: list[str] = []
+        self._blobs = blobs
+        #: job → (wire, blob table) of the jobs added after start
+        self._added: dict[str, tuple] = {}
         blob_table = None
         if blobs is not None:
             from ..perf import get_perf
@@ -264,13 +286,30 @@ class SharedProcessPool(WorkerPool):
 
         self._pool.apply_async(
             _evaluate_shared_chunk,
-            (job, solutions, tuple(self._released)),
+            (job, solutions, tuple(self.wires), self._added.get(job)),
             callback=on_done,
             error_callback=on_error,
         )
 
+    def add(self, job: str, spec: EvaluatorSpec, search=None) -> None:
+        wire = encode_pool_wires(
+            {job: spec}, {job: search} if search is not None else None,
+            blobs=self._blobs,
+        )[job]
+        table = None
+        if self._blobs is not None:
+            from ..spec.blob import blob_transport_table
+            from ..spec.wire import collect_blob_refs
+
+            refs = collect_blob_refs(wire)
+            if refs:
+                table = blob_transport_table(self._blobs, digests=refs)
+        self.wires[job] = wire
+        self._added[job] = (wire, table)
+
     def release(self, job: str) -> None:
-        self._released.append(job)
+        self.wires.pop(job, None)
+        self._added.pop(job, None)
 
     def close(self) -> None:
         self._pool.close()

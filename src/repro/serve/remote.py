@@ -88,6 +88,7 @@ from ..spec.wire import (
     job_message,
     metrics_message,
     read_frame,
+    release_message,
     result_message,
     task_message,
     welcome_message,
@@ -141,7 +142,9 @@ class _WorkerSession(threading.Thread):
     and enqueues tasks — while a dedicated evaluator thread works
     through the task queue, so liveness checks succeed even mid-chunk.
     Job replicas are session-scoped: two clients registering the same
-    job name cannot collide.
+    job name cannot collide.  A ``release`` frame joins the task queue,
+    so a finished job's replica and payload go once its earlier tasks
+    are done.
     """
 
     def __init__(self, server: "WorkerServer", sock: socket.socket,
@@ -272,6 +275,8 @@ class _WorkerSession(threading.Thread):
             elif kind == "task":
                 self.server._task_received()
                 self._tasks.put(message)
+            elif kind == "release":
+                self._tasks.put(message)  # in order with the job's tasks
             elif kind == "ping":
                 self._send({"type": "pong", "t": message.get("t")})
             elif kind == "bye":
@@ -338,6 +343,10 @@ class _WorkerSession(threading.Thread):
                 # makes the client requeue anything that raced in later
                 self.close()
                 return
+            if message["type"] == "release":
+                self._entries.pop(message["job"], None)
+                self._wires.pop(message["job"], None)
+                continue
             self.server._task_started()
             chaos = self.server.chaos
             events = chaos.on_task(self.server) if chaos is not None else ()
@@ -723,6 +732,8 @@ class _RemoteWorker:
         self.accepting = True
         self.capacity = 1
         self.pending: set[int] = set()  # task ids in flight here
+        #: jobs registered on this connection (``job`` frames sent)
+        self.jobs: set[str] = set()
         self.last_recv = time.monotonic()
         #: latest ping→pong round trip in milliseconds (telemetry only)
         self.rtt_ms: float | None = None
@@ -776,6 +787,9 @@ class SharedRemotePool(WorkerPool):
     token/version handshake, and registers the full ``job → wire
     payload`` table on each worker (workers build replicas lazily on
     their first task per job, exactly like the shared process pool).
+    :meth:`add` registers a new job on every live worker of the running
+    pool, and :meth:`release` tells each to drop a finished one, so one
+    pool can serve a search daemon's whole busy period.
     Chunks go to the live worker with the fewest in-flight tasks, and
     results stream back to the caller's queue the moment each worker
     finishes — completion order never matters because every
@@ -936,6 +950,38 @@ class SharedRemotePool(WorkerPool):
             self._pending[entry.task] = entry
         self._dispatch(entry)
 
+    def add(self, job: str, spec: EvaluatorSpec, search=None) -> None:
+        wire = encode_pool_wires(
+            {job: spec}, {job: search} if search is not None else None,
+            blobs=self._blobs,
+        )[job]
+        with self._lock:
+            self.wires[job] = wire
+            self._blob_refs.update(collect_blob_refs(wire))
+            # a worker still connecting is not listed yet: _admit
+            # registers the job on it before it can take a task
+            targets = [w for w in self._workers if w.alive]
+            for worker in targets:
+                worker.jobs.add(job)
+        for worker in targets:
+            try:
+                worker.send(job_message(job, wire))
+            except (OSError, ValueError):
+                self._worker_died(worker)
+
+    def release(self, job: str) -> None:
+        with self._lock:
+            if self.wires.pop(job, None) is None:
+                return
+            targets = [w for w in self._workers if w.alive]
+            for worker in targets:
+                worker.jobs.discard(job)
+        for worker in targets:
+            try:
+                worker.send(release_message(job))
+            except (OSError, ValueError):
+                self._worker_died(worker)
+
     def close(self) -> None:
         self._closed = True
         self._closing.set()
@@ -1052,15 +1098,32 @@ class SharedRemotePool(WorkerPool):
             self._flush_parked()
 
     def _admit(self, worker: _RemoteWorker, rejoin: bool) -> None:
-        """Install a freshly-connected worker: replace any dead record
-        for its address, release parked chunks, rebalance load."""
-        with self._lock:
-            self._workers = [
-                w for w in self._workers
-                if w.alive or w.address != worker.address
-            ]
-            self._workers.append(worker)
-            self._redial.pop(worker.address, None)
+        """Install a freshly-connected worker: register the jobs added
+        (and release those dropped) since it connected, replace any dead
+        record for its address, release parked chunks, rebalance load."""
+        while True:
+            with self._lock:
+                added = [(job, wire) for job, wire in self.wires.items()
+                         if job not in worker.jobs]
+                dropped = worker.jobs.difference(self.wires)
+                if not added and not dropped:
+                    self._workers = [
+                        w for w in self._workers
+                        if w.alive or w.address != worker.address
+                    ]
+                    self._workers.append(worker)
+                    self._redial.pop(worker.address, None)
+                    break
+            try:
+                for job, wire in added:
+                    worker.send(job_message(job, wire))
+                    worker.jobs.add(job)
+                for job in dropped:
+                    worker.send(release_message(job))
+                    worker.jobs.discard(job)
+            except (OSError, ValueError):
+                worker.drop()
+                return
         if rejoin:
             self.perf.counter("fault.rejoins").inc()
         self._flush_parked()
@@ -1123,8 +1186,11 @@ class SharedRemotePool(WorkerPool):
         worker.last_recv = time.monotonic()
         # the full job table rides every connection so any worker can
         # pick up any job's chunks (that is what makes requeue possible)
-        for job, payload in self.wires.items():
+        with self._lock:
+            wires = list(self.wires.items())
+        for job, payload in wires:
             worker.send(job_message(job, payload))
+            worker.jobs.add(job)
         worker.reader = threading.Thread(
             target=self._read_loop, args=(worker, rfile), daemon=True,
             name=f"repro-remote-read-{address}",
@@ -1544,6 +1610,8 @@ class SharedRemotePool(WorkerPool):
             entry = self._local_queue.get()
             if entry is None:
                 return
+            for job in [job for job in entries if job not in self.wires]:
+                del entries[job]  # released: the job is finished
             start = time.perf_counter()
             try:
                 built = entries.get(entry.job)

@@ -26,11 +26,20 @@ Failure is job-scoped: a replica that raises fails its own job (the
 handle reports the worker traceback) while the pool and every other job
 keep running.  Cancellation via :meth:`SearchHandle.cancel` takes
 effect at the next batch boundary.
+
+Admission is continuous: :meth:`SearchScheduler.submit` may be called
+from another thread while :meth:`SearchScheduler.run` is running, and
+the new job joins that run at its next chunk result, on the same pool.
+This is what the search daemon (:mod:`repro.serve.server`) runs on: one
+``run()`` per busy period, however many jobs arrive during it.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import queue
+import threading
 import traceback
 from dataclasses import dataclass, field
 
@@ -136,16 +145,24 @@ class SearchHandle:
 
 @dataclass
 class _JobState:
-    """Scheduler-internal bookkeeping for one search job."""
+    """Scheduler-internal bookkeeping for one search job.
+
+    A job is cheap until it starts: a declarative one holds its
+    :class:`~repro.spec.SearchSpec` and resolves model and calibration
+    batch on first use of :attr:`spec`; layer statistics and the engine
+    are built when :meth:`SearchScheduler.run` admits it.  A finished
+    job keeps only its handle and counters.
+    """
 
     name: str
-    spec: EvaluatorSpec
-    engine: LPQEngine
-    stats: LayerStats
-    act_sf_mode: str
-    perf: PerfRegistry
     handle: SearchHandle
+    perf: PerfRegistry | None
+    config: LPQConfig | None = None
+    act_sf_mode: str = "calibrated"
     search: object | None = None  # SearchSpec of a declarative submission
+    _spec: EvaluatorSpec | None = None
+    engine: LPQEngine | None = None
+    stats: LayerStats | None = None
     gen: object | None = None
     seq: int = -1
     batch: list | None = None  # full batch (duplicates included)
@@ -158,6 +175,33 @@ class _JobState:
     computed_evaluations: int = 0  # submitted to a worker
     cost_est: float | None = None  # EWMA seconds per candidate
     event_snap: dict | None = None  # perf snapshot at the last on_batch
+
+    @property
+    def spec(self) -> EvaluatorSpec | None:
+        """The job's evaluator recipe (``None`` once it has finished)."""
+        if self._spec is None and self.search is not None \
+                and not self.handle.finished:
+            search = self.search
+            self._spec = EvaluatorSpec(
+                images=search.build_calib(),
+                model=search.build_model(),
+                config=search.fitness,
+                objective=(
+                    None if search.objective == _DEFAULT_OBJECTIVE
+                    else search.objective
+                ),
+                act_mode=search.act_sf_mode,
+            )
+        return self._spec
+
+    def drop(self) -> None:
+        """Forget everything but the handle and the counters, so a
+        ``run()`` that lasts a daemon's life stays bounded."""
+        self._spec = self.search = self.engine = self.stats = None
+        self.gen = self.batch = self.unique = self.event_snap = None
+        self.perf = None
+        self.memo = {}
+        self.chunk_fits = {}
 
 
 class SearchScheduler:
@@ -172,15 +216,17 @@ class SearchScheduler:
     pool starvation).  The first batch of every job is submitted at
     chunk size 1 to seed the cost estimate with maximum parallelism.
     ``max_active_jobs`` bounds how many jobs are in flight at once
-    (``None``: all of them); the rest start, in submission order, as
-    jobs end.  Every pool worker holds one evaluator replica per job
-    it has served until that job ends, so the bound caps worker memory
-    on long sweeps.
+    (``None``: all of them); the rest start as jobs end, higher
+    ``priority`` first and ties in submission order.  Every pool worker
+    holds one evaluator replica per job it has served until that job
+    ends, so the bound caps worker memory on long sweeps.
 
     Submit jobs, then call :meth:`run`; per-job :class:`SearchHandle`
     futures resolve to :class:`~repro.quant.LPQResult` values that are
     bitwise-identical to standalone :func:`repro.quant.lpq_quantize`
-    runs with the same configuration.
+    runs with the same configuration.  :meth:`submit` is thread-safe
+    and cheap: a job submitted while :meth:`run` is running joins that
+    run, on its pool, at the next chunk result.
 
     >>> import numpy as np
     >>> from repro import nn
@@ -220,6 +266,7 @@ class SearchScheduler:
         on_batch=None,
         on_finished=None,
         max_active_jobs: int | None = None,
+        on_started=None,
     ) -> None:
         if target_chunk_s <= 0:
             raise ValueError("target_chunk_s must be positive")
@@ -235,14 +282,25 @@ class SearchScheduler:
         #: progress hook — called as ``on_batch(name, info)`` after each
         #: evaluated candidate batch with the job's generation counter,
         #: evaluation counts, best-so-far fitness, and the perf-counter
-        #: delta since the previous call.  ``on_finished(name, handle)``
-        #: fires once per job as it reaches a terminal state.  Both run
-        #: on the scheduler's thread; an exception raised by either
-        #: propagates out of :meth:`run` (the search-daemon crash tests
-        #: rely on this).
+        #: delta since the previous call.  ``on_started(name)`` fires
+        #: when :meth:`run` admits a job, before its model is built;
+        #: ``on_finished(name, handle)`` fires once per job as it
+        #: reaches a terminal state.  All three run on the thread that
+        #: called :meth:`run`; an exception raised by one propagates out
+        #: of :meth:`run` (the search-daemon crash tests rely on this).
         self.on_batch = on_batch
+        self.on_started = on_started
         self.on_finished = on_finished
         self._jobs: dict[str, _JobState] = {}
+        #: guards ``_jobs`` inserts, ``_waiting`` and ``_wake`` against
+        #: submit() calls from other threads; never held over a hook
+        self._lock = threading.Lock()
+        #: jobs not yet started, as a heap of (-priority, order, name)
+        self._waiting: list[tuple] = []
+        self._order = itertools.count()
+        #: the result queue of the running :meth:`run` (None otherwise);
+        #: submit() puts a ``None`` on it to wake the loop
+        self._wake: queue.SimpleQueue | None = None
         #: the shared pool of the current :meth:`run` call (None between
         #: runs); :meth:`stats` reads its worker count and membership
         self._pool = None
@@ -262,6 +320,7 @@ class SearchScheduler:
         act_sf_mode: str = "calibrated",
         stats: LayerStats | None = None,
         spec=None,
+        priority: int = 0,
     ) -> SearchHandle:
         """Register one LPQ search job; returns its :class:`SearchHandle`.
 
@@ -278,10 +337,15 @@ class SearchScheduler:
         crosses the pool boundary as the spec's own plain-JSON payload.
         The spec's ``executor`` field is ignored here; the scheduler's
         shared pool is the executor for every job it runs.
+
+        Submission only validates and queues: the model, calibration
+        batch and layer statistics are built when :meth:`run` starts
+        the job, on its thread.  Safe to call from another thread while
+        :meth:`run` is running; the job then joins that run.  Waiting
+        jobs start highest ``priority`` first, ties in submission order.
         """
-        if name in self._jobs:
-            raise ValueError(f"duplicate job name {name!r}")
         search = None
+        espec = None
         if spec is not None:
             from ..spec.spec import SearchSpec, reject_spec_conflicts
 
@@ -304,14 +368,17 @@ class SearchScheduler:
                 objective=objective,
                 act_sf_mode=act_sf_mode,
             )
+            if not spec.serializable:
+                raise ValueError(
+                    "submit(spec=...) needs a registered model name and a "
+                    "calibration descriptor; pass live objects as "
+                    "model/calib_images instead"
+                )
             search = spec
-            model = spec.build_model()
-            calib_images = spec.build_calib()
             config = spec.search_config()
-            fitness_config = spec.fitness
             objective = spec.objective
             act_sf_mode = spec.act_sf_mode
-        if calib_images is None:
+        elif calib_images is None:
             raise ValueError("calib_images is required")
         if objective not in OBJECTIVES and objective != _DEFAULT_OBJECTIVE:
             raise ValueError(
@@ -320,40 +387,46 @@ class SearchScheduler:
             )
         if act_sf_mode not in ("calibrated", "recurrence"):
             raise ValueError(f"unknown activation sf mode {act_sf_mode!r}")
-        if (model is None) == (builder is None):
-            raise ValueError("exactly one of model or builder is required")
-        espec = EvaluatorSpec(
-            images=calib_images,
-            builder=builder,
-            state=state,
-            model=model,
-            config=fitness_config,
-            objective=None if objective == _DEFAULT_OBJECTIVE else objective,
-            act_mode=act_sf_mode,
-            stats=stats,
-        )
-        if stats is None:  # the caller did not precollect them
-            stats = espec.stats = collect_layer_stats(espec._model(), calib_images)
-        job_perf = PerfRegistry()
-        engine = LPQEngine(
-            None, stats.weight_log_centers, config, perf=job_perf
-        )
+        if search is None:
+            if (model is None) == (builder is None):
+                raise ValueError("exactly one of model or builder is required")
+            espec = EvaluatorSpec(
+                images=calib_images,
+                builder=builder,
+                state=state,
+                model=model,
+                config=fitness_config,
+                objective=(
+                    None if objective == _DEFAULT_OBJECTIVE else objective
+                ),
+                act_mode=act_sf_mode,
+                stats=stats,
+            )
         handle = SearchHandle(name)
-        self._jobs[name] = _JobState(
-            name=name,
-            spec=espec,
-            engine=engine,
-            stats=stats,
-            act_sf_mode=act_sf_mode,
-            perf=job_perf,
-            handle=handle,
-            search=search,
-        )
+        with self._lock:
+            if name in self._jobs:
+                raise ValueError(f"duplicate job name {name!r}")
+            st = _JobState(
+                name=name,
+                handle=handle,
+                perf=PerfRegistry(),
+                config=config,
+                act_sf_mode=act_sf_mode,
+                search=search,
+                _spec=espec,
+            )
+            self._jobs[name] = st
+            heapq.heappush(
+                self._waiting, (-int(priority), next(self._order), name)
+            )
+            if self._wake is not None:
+                self._wake.put(None)  # a running loop admits it
         return handle
 
     @property
     def handles(self) -> dict[str, SearchHandle]:
-        return {name: st.handle for name, st in self._jobs.items()}
+        with self._lock:
+            return {name: st.handle for name, st in self._jobs.items()}
 
     def stats(self) -> dict:
         """Advisory point-in-time scheduling facts for status views.
@@ -363,13 +436,16 @@ class SearchScheduler:
         (every job's outstanding chunks summed), the current worker
         parallelism, and per-worker fleet membership
         (:meth:`~repro.serve.pool.WorkerPool.membership`, non-empty on
-        the remote backend).  Lock-free by design — values may be one
-        batch stale, and reading them never perturbs a running search
-        (the daemon's ``fleet_status`` op is built on exactly this).
+        the remote backend).  It only copies the job table under the
+        submit lock — values may be one batch stale, and reading them
+        never perturbs a running search (the daemon's ``fleet_status``
+        op is built on exactly this).
         """
         jobs = {}
         queue_depth = 0
-        for name, st in self._jobs.items():
+        with self._lock:
+            states = list(self._jobs.items())
+        for name, st in states:
             outstanding = max(0, st.chunks_outstanding)
             if not st.handle.finished:
                 queue_depth += outstanding
@@ -390,49 +466,42 @@ class SearchScheduler:
 
     # -- the multiplexing loop -------------------------------------------
     def run(self) -> dict[str, LPQResult]:
-        """Drive every pending job to completion on one shared pool.
+        """Drive every waiting job, and every job submitted while this
+        runs, to completion on one shared pool.
 
         Returns ``{name: LPQResult}`` for the jobs that completed in
         this call; failed or cancelled jobs are reported through their
-        handles instead.  May be called again after submitting more
-        jobs (each call builds a pool for that call's pending jobs).
+        handles instead.  Returns once no job is left, closing the pool;
+        may be called again after submitting more jobs.
         """
-        pending: dict[str, _JobState] = {}
-        for name, st in self._jobs.items():
-            if st.handle.finished:
-                continue
-            if st.handle._cancel_requested:
-                self._finalize_cancelled(st)
-                continue
-            pending[name] = st
-        if not pending:
-            return {}
         results_q: queue.SimpleQueue = queue.SimpleQueue()
-        pool = make_shared_pool(
-            {name: st.spec for name, st in pending.items()},
-            self.executor_config,
-            results_q,
-            search_specs={
-                name: st.search
-                for name, st in pending.items()
-                if st.search is not None
-            },
-        )
-        waiting = list(pending.values())[::-1]  # pop() = submission order
-        limit = self.max_active_jobs or len(waiting)
+        with self._lock:
+            if self._wake is not None:
+                raise RuntimeError("SearchScheduler.run() is already running")
+            self._wake = results_q
+        admitted: list[_JobState] = []
         outstanding = active = 0
-        self._pool = pool
+        pool = None
         try:
             while True:
-                while waiting and active < limit:
-                    submitted = self._start_job(waiting.pop(), pool)
+                starting = self._admit(active)
+                admitted += starting
+                starting, pool = self._launch(starting, pool, results_q)
+                for st in starting:
+                    submitted = self._start_job(st, pool)
                     outstanding += submitted
                     active += submitted > 0
                 if not outstanding:
-                    break
+                    with self._lock:
+                        if not self._waiting:
+                            self._wake = None  # later jobs need a run()
+                            break
+                    continue
                 res = results_q.get()
+                if res is None:
+                    continue  # submit() woke the loop: admit the job
                 outstanding -= 1
-                st = pending.get(res.job)
+                st = self._jobs.get(res.job)
                 if st is None or st.handle.finished or res.seq != st.seq:
                     continue  # stale chunk of a failed/finished job
                 if res.error is not None:
@@ -456,14 +525,91 @@ class SearchScheduler:
                     submitted = self._advance(st, pool, fits)
                     outstanding += submitted
                     active -= submitted == 0
+        except Exception:
+            # the pool or a hook broke the loop: no started job can
+            # finish now, so each fails with the cause
+            error = traceback.format_exc()
+            for st in admitted:
+                if not st.handle.finished:
+                    self._finalize_failed(st, error)
+            raise
         finally:
+            with self._lock:
+                self._wake = None
             self._pool = None
-            pool.close()
+            if pool is not None:
+                pool.close()
         return {
-            name: st.handle._result
-            for name, st in pending.items()
-            if st.handle.done
+            st.name: st.handle._result for st in admitted if st.handle.done
         }
+
+    def _admit(self, active: int) -> list[_JobState]:
+        """Pop the waiting jobs that may start now, highest priority
+        first, so that at most ``max_active_jobs`` are in flight.  A job
+        cancelled while it waited ends here without starting."""
+        limit = self.max_active_jobs
+        starting, cancelled = [], []
+        with self._lock:
+            while self._waiting and (
+                limit is None or active + len(starting) < limit
+            ):
+                st = self._jobs[heapq.heappop(self._waiting)[2]]
+                if st.handle._cancel_requested:
+                    cancelled.append(st)
+                else:
+                    starting.append(st)
+        for st in cancelled:
+            self._finalize_cancelled(st)
+        return starting
+
+    def _launch(self, starting: list, pool, results_q):
+        """Build the starting jobs' statistics and engines and put them
+        on the pool (made here for the first of them).  Returns the jobs
+        ready to run and the pool; a job that cannot be built or
+        encoded fails alone."""
+        if self.on_started is not None:
+            for st in starting:
+                self.on_started(st.name)
+        ready = [st for st in starting if self._prepare(st)]
+        if not ready:
+            return ready, pool
+        if pool is None:
+            pool = make_shared_pool(
+                {st.name: st.spec for st in ready},
+                self.executor_config,
+                results_q,
+                search_specs={
+                    st.name: st.search for st in ready
+                    if st.search is not None
+                },
+            )
+            self._pool = pool
+            return ready, pool
+        added = []
+        for st in ready:
+            try:
+                pool.add(st.name, st.spec, st.search)
+            except ValueError:  # the job cannot cross the pool's wire
+                self._finalize_failed(st, traceback.format_exc())
+                continue
+            added.append(st)
+        return added, pool
+
+    def _prepare(self, st: _JobState) -> bool:
+        try:
+            espec = st.spec
+            if espec.stats is None:  # the caller did not precollect them
+                espec.stats = collect_layer_stats(
+                    espec._model(), espec.images
+                )
+            st.stats = espec.stats
+            st.engine = LPQEngine(
+                None, st.stats.weight_log_centers, st.config, perf=st.perf
+            )
+        except Exception:  # lint: disable=broad-except -- job isolation: a model that cannot be built fails its own job only
+            self._finalize_failed(st, traceback.format_exc())
+            return False
+        return True
 
     # -- per-job driving -------------------------------------------------
     def _start_job(self, st: _JobState, pool) -> int:
@@ -599,12 +745,13 @@ class SearchScheduler:
     def _merge_job_perf(self, st: _JobState) -> None:
         """Publish the job's perf snapshot on its handle, fold the
         private registry (engine events + worker deltas) into the
-        scheduler's ambient registry exactly once, and let the pool drop
-        the job's replicas."""
+        scheduler's ambient registry exactly once, let the pool drop
+        the job's replicas, and drop the job's own state."""
         st.handle._perf = st.perf.snapshot()
         if st.perf is not self.perf:
             self.perf.merge_snapshot(st.handle._perf)
         if self._pool is not None:
             self._pool.release(st.name)
+        st.drop()
         if self.on_finished is not None:
             self.on_finished(st.name, st.handle)

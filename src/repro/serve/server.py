@@ -7,7 +7,9 @@ transport (:mod:`repro.spec.wire`): after the hello/welcome handshake
 they issue ``submit`` / ``status`` / ``result`` / ``cancel`` /
 ``list_jobs`` / ``subscribe`` requests, and the daemon multiplexes
 accepted jobs onto one :class:`~repro.serve.SearchScheduler` over any
-worker-pool backend (serial / process / remote).  Unlike the
+worker-pool backend (serial / process / remote).  Admission is
+continuous: a job accepted while others run joins the running scheduler
+at its next chunk result, on the same pool.  Unlike the
 worker transport, a malformed or unknown request gets an ``ok=false``
 reply and the session *survives* — a service front door cannot let one
 bad client frame kill the conversation.
@@ -286,14 +288,19 @@ class SearchServer:
 
     Accepts framed-JSON client connections, queues submitted
     :class:`~repro.spec.SearchSpec` jobs durably (journal + digest-keyed
-    result store under ``data_dir``), and runs them on one shared
+    result store under ``data_dir``), and runs them on one
     :class:`~repro.serve.SearchScheduler` over ``executor`` — the same
     :class:`~repro.parallel.ExecutorConfig` knob as everywhere else, so
     the daemon fronts a serial process or a remote worker fleet with
-    one argument.  Jobs of equal priority run in submission order;
-    higher ``priority`` runs earlier.  Results are bitwise-identical to
-    standalone :func:`repro.quant.lpq_quantize` runs: restarts,
-    backends, and crash-recovery re-runs cannot move a bit.
+    one argument.  The runner thread drives the scheduler for as long
+    as jobs remain (a *busy period*, on one pool — a remote fleet is
+    dialed once per busy period), and a job accepted meanwhile joins
+    it at the next chunk result.  Jobs start highest ``priority``
+    first, ties in submission order, with at most
+    ``max_jobs_per_round`` in flight (0: no cap).  Results are
+    bitwise-identical to standalone :func:`repro.quant.lpq_quantize`
+    runs: restarts, backends, admission order and crash-recovery
+    re-runs cannot move a bit.
 
     >>> from repro.quant import LPQConfig
     >>> from repro.spec import CalibSpec, SearchSpec
@@ -339,8 +346,6 @@ class SearchServer:
             data_dir = tempfile.mkdtemp(prefix="repro-server-")
         self.data_dir = Path(data_dir)
         self.executor_config = executor or ExecutorConfig()
-        self.target_chunk_s = target_chunk_s
-        self.max_jobs_per_round = max_jobs_per_round
         self.verbose = verbose
         self.max_frame = max_frame
         self.perf = perf if perf is not None else get_perf()
@@ -363,7 +368,17 @@ class SearchServer:
         #: worker samples accumulated off the hub since the last tick
         self._worker_samples: dict[str, list] = {}
         self._metric_subs: set[_ServerSession] = set()
-        self._scheduler: SearchScheduler | None = None
+        #: one scheduler for the daemon's life; its ``run()`` spans a
+        #: busy period and admits the jobs sessions submit meanwhile
+        self._scheduler = SearchScheduler(
+            executor=self.executor_config,
+            target_chunk_s=target_chunk_s,
+            perf=self.perf,
+            max_active_jobs=max_jobs_per_round or None,
+            on_started=self._on_started,
+            on_batch=self._on_batch,
+            on_finished=self._on_finished,
+        )
         self.journal: Journal | None = None
         self.store: ResultStore | None = None
         self._jobs: dict[str, _ServerJob] = {}
@@ -428,10 +443,10 @@ class SearchServer:
         return f"{host}:{port}"
 
     def stop(self) -> None:
-        """Graceful shutdown: interrupt the running round at the next
-        batch boundary *without* journaling terminal records for the
-        interrupted jobs — they stay ``running`` in the journal, so a
-        restart re-queues and re-runs them."""
+        """Graceful shutdown: interrupt the running jobs at the next
+        batch boundary *without* journaling terminal records for them —
+        they stay ``running`` in the journal (and queued ones
+        ``submitted``), so a restart re-queues and re-runs them."""
         self._shutdown(suppress=False)
 
     def kill(self) -> None:
@@ -447,7 +462,7 @@ class SearchServer:
             self._closed = True
             self._suppress = self._suppress or suppress
             for job in self._jobs.values():
-                if job.state == "running" and job.handle is not None:
+                if job.handle is not None:  # queued or running
                     job.handle.cancel()
             self._wake.notify_all()
             sessions = list(self._sessions)
@@ -538,6 +553,7 @@ class SearchServer:
                     job.state = "queued"
                     if info["state"] == "running":
                         self.stats["recovered"] += 1
+                    self._enqueue(job)
             self._jobs[name] = job
             if job.state not in ("failed", "cancelled"):
                 self._by_digest[job.digest] = name
@@ -591,8 +607,20 @@ class SearchServer:
                 self.stats["replayed"] += 1
                 self._finish(job, "done")
             else:
+                self._enqueue(job)
                 self._wake.notify_all()
         return job, False
+
+    def _enqueue(self, job: _ServerJob) -> None:
+        """Hand a queued job to the scheduler.  Cheap: the model and
+        calibration batch are built when the job starts, on the runner
+        thread, not on the session thread that accepted it."""
+        try:
+            job.handle = self._scheduler.submit(
+                job.name, spec=job.spec, priority=job.priority
+            )
+        except Exception:  # lint: disable=broad-except -- job isolation: a spec the scheduler rejects fails that job record only
+            self._finish(job, "failed", error=traceback.format_exc())
 
     @staticmethod
     def _spec_payload(spec: SearchSpec) -> dict:
@@ -639,10 +667,11 @@ class SearchServer:
             if job.state in _TERMINAL:
                 return job
             job.cancel_requested = True
+            if job.handle is not None:
+                job.handle.cancel()
             if job.state == "running":
-                if job.handle is not None:
-                    job.handle.cancel()
                 return job  # the scheduler journals the terminal state
+            # a queued job ends now; the scheduler drops it unstarted
             self._finish(job, "cancelled")
         return job
 
@@ -657,67 +686,48 @@ class SearchServer:
         return _describe(job)
 
     # -- the runner ------------------------------------------------------
-    def _pending(self) -> list[_ServerJob]:
-        jobs = [j for j in self._jobs.values() if j.state == "queued"]
-        jobs.sort(key=lambda j: (-j.priority, j.order))
-        return jobs
+    def _has_queued(self) -> bool:
+        return any(
+            job.state == "queued" and job.handle is not None
+            and not job.handle.finished
+            for job in self._jobs.values()
+        )
 
     def _run_loop(self) -> None:
+        """One scheduler ``run()`` per busy period: it returns once no
+        job is queued or running, and the next accepted job starts the
+        next one."""
         while True:
             with self._wake:
-                while not self._closed and not self._pending():
+                while not self._closed and not self._has_queued():
                     self._wake.wait(0.2)
                 if self._closed:
                     return
-                batch = self._pending()
-                if self.max_jobs_per_round > 0:
-                    batch = batch[: self.max_jobs_per_round]
-                for job in batch:
-                    job.state = "running"
-                    self._journal("running", job, digest=job.digest)
-            for job in batch:
-                self._emit_state(job, final=False)
             try:
-                self._run_round(batch)
+                self._scheduler.run()
             except _SimulatedCrash:
                 with self._lock:
                     self._suppress = True
                     self._closed = True
                 self._log("simulated crash: runner halting")
                 return
-
-    def _run_round(self, batch: list[_ServerJob]) -> None:
-        scheduler = SearchScheduler(
-            executor=self.executor_config,
-            target_chunk_s=self.target_chunk_s,
-            perf=self.perf,
-            on_batch=self._on_batch,
-            on_finished=self._on_finished,
-        )
-        # advisory pointer for fleet_status / the metrics sampler; kept
-        # after the round so the last round's stats stay queryable
-        self._scheduler = scheduler
-        started = []
-        for job in batch:
-            try:
-                job.handle = scheduler.submit(job.name, spec=job.spec)
-            except Exception:  # lint: disable=broad-except -- job isolation: a submit failure fails that job record only
-                self._finish(job, "failed", error=traceback.format_exc())
-                continue
-            if job.cancel_requested or self._closed:
-                job.handle.cancel()
-            started.append(job)
-        if not started:
-            return
-        try:
-            scheduler.run()
-        except _SimulatedCrash:
-            raise
-        except Exception:  # lint: disable=broad-except -- daemon survival: a scheduler crash fails the running jobs, not the server
-            error = traceback.format_exc()
-            for job in started:
-                if job.state == "running":
+            except Exception:  # lint: disable=broad-except -- daemon survival: a scheduler crash fails the running jobs, not the server
+                error = traceback.format_exc()
+                with self._lock:
+                    stuck = [j for j in self._jobs.values()
+                             if j.state == "running"]
+                for job in stuck:
                     self._finish(job, "failed", error=error)
+
+    def _on_started(self, name: str) -> None:
+        """Scheduler hook: ``name`` leaves the queue and starts now."""
+        with self._lock:
+            job = self._jobs.get(name)
+            if job is None or job.state != "queued":
+                return  # cancelled while it waited
+            job.state = "running"
+            self._journal("running", job, digest=job.digest)
+        self._emit_state(job, final=False)
 
     def _on_batch(self, name: str, info: dict) -> None:
         with self._lock:
@@ -810,15 +820,10 @@ class SearchServer:
                 )
             ]
             stats = dict(self.stats)
-            scheduler = self._scheduler
         return {
             "address": self.address,
             "jobs": jobs,
-            "scheduler": (
-                scheduler.stats() if scheduler is not None
-                else {"jobs": {}, "queue_depth": 0, "workers": 0,
-                      "fleet": []}
-            ),
+            "scheduler": self._scheduler.stats(),
             "stats": stats,
             "metrics": {
                 "enabled": self.metrics_interval > 0,
@@ -871,7 +876,6 @@ class SearchServer:
         with self._lock:
             pending, self._worker_samples = self._worker_samples, {}
             subscribers = list(self._metric_subs)
-            scheduler = self._scheduler
         workers = []
         for source, batch in sorted(pending.items()):
             last = batch[-1]
@@ -883,14 +887,10 @@ class SearchServer:
                 "gauges": last.get("gauges") or {},
                 "samples": len(batch),
             })
-        status = (
-            scheduler.stats() if scheduler is not None
-            else {"jobs": {}, "queue_depth": 0, "workers": 0, "fleet": []}
-        )
         message = metrics_message(
             sample["source"], sample["seq"], sample["t"],
             delta=sample["delta"], gauges=sample["gauges"],
-            workers=workers, status=status,
+            workers=workers, status=self._scheduler.stats(),
         )
         if self.timeseries is not None:
             record = {k: v for k, v in message.items() if k != "type"}

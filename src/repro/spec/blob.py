@@ -368,8 +368,9 @@ class BlobStore:
 
 
 # -- transport tables ------------------------------------------------------
-def blob_transport_table(store: BlobStore) -> dict:
-    """Publish ``store`` for process-pool workers.
+def blob_transport_table(store: BlobStore, digests=None) -> dict:
+    """Publish ``store`` (or only its ``digests``) for process-pool
+    workers.
 
     Preferred form is ``{"shm": <attach table>}`` — zero-copy shared
     memory.  Where POSIX shared memory is unavailable the fallback is
@@ -377,20 +378,28 @@ def blob_transport_table(store: BlobStore) -> dict:
     once per worker instead of once per payload, so content addressing
     still dedupes, just not zero-copy.
     """
+    resident = store.digests()
+    wanted = resident if digests is None else sorted(
+        set(digests).intersection(resident)
+    )
     try:
-        return {"shm": store.export_shm()}
+        table = store.export_shm()
+        return {"shm": {digest: table[digest] for digest in wanted}}
     except OSError:
         from .serde import encode_array
 
         return {
-            "inline": {d: encode_array(store.get(d)) for d in store.digests()}
+            "inline": {d: encode_array(store.get(d)) for d in wanted}
         }
 
 
-def attach_transport_table(table: dict, perf=None) -> BlobStore:
+def attach_transport_table(table: dict, perf=None,
+                           store: BlobStore | None = None) -> BlobStore:
     """Worker-side inverse of :func:`blob_transport_table`: a store
-    serving every digest the table carries."""
-    store = BlobStore(perf=perf)
+    serving every digest the table carries (``store``, when given,
+    gains the digests it lacks)."""
+    if store is None:
+        store = BlobStore(perf=perf)
     if "shm" in table:
         store.attach_shm(table["shm"])
     inline = table.get("inline")

@@ -101,6 +101,7 @@ __all__ = [
     "welcome_message",
     "error_message",
     "job_message",
+    "release_message",
     "task_message",
     "result_message",
     "blob_get_message",
@@ -126,11 +127,11 @@ WIRE_VERSION = 1
 #: remote-transport protocol version: the frame layout plus the message
 #: schema both ends must share.  Bumped whenever either changes (v2
 #: added CRC32 frame checksums and the draining frame, v3 the numerics
-#: fingerprint in ``hello`` and ``welcome``); a client and a worker
-#: built at different versions refuse each other at handshake time
-#: with a message naming both numbers, instead of failing mid-search
-#: on an undecodable frame.
-PROTOCOL_VERSION = 3
+#: fingerprint in ``hello`` and ``welcome``, v4 the release frame); a
+#: client and a worker built at different versions refuse each other
+#: at handshake time with a message naming both numbers, instead of
+#: failing mid-search on an undecodable frame.
+PROTOCOL_VERSION = 4
 
 #: ``reason`` of the handshake refusal between peers whose numerics
 #: fingerprints differ (:mod:`repro.parallel._fingerprint`): their
@@ -322,6 +323,13 @@ def error_message(error: str, reason: str | None = None) -> dict:
 def job_message(job: str, payload: dict) -> dict:
     """Client → worker job registration (an :func:`encode_job` payload)."""
     return {"type": "job", "job": job, "payload": payload}
+
+
+def release_message(job: str) -> dict:
+    """Client → worker: ``job`` is finished.  The worker drops its
+    replica and payload once every task of the job sent before this
+    frame has been evaluated."""
+    return {"type": "release", "job": job}
 
 
 def task_message(task: int, job: str, seq: int, chunk: int,

@@ -167,16 +167,22 @@ class TestDaemonFleetTelemetry:
         streamer = SearchClient(server.address)
         client = SearchClient(server.address)
 
+        streaming = threading.Event()
+
         def pump():
             try:
                 for frame in streamer.metrics_stream():
                     frames.append(frame)
+                    streaming.set()
             except ConnectionError:
                 pass  # server stopped: stream over
 
         pump_thread = threading.Thread(target=pump, daemon=True)
         try:
             pump_thread.start()
+            # submit once the stream is live: a sweep that finishes
+            # before the subscription lands streams no evaluations
+            assert streaming.wait(10.0), "metrics stream never started"
             jobs = {
                 seed: client.submit(_spec(seed))["job"] for seed in SEEDS
             }

@@ -522,6 +522,58 @@ class TestLiveness:
             assert not pool.healthy()
 
 
+def _held_replicas(server) -> dict:
+    """Session name → the jobs it holds a replica or payload of."""
+    with server._lock:
+        sessions = list(server._sessions)
+    return {s.name: set(s._entries) | set(s._wires) for s in sessions}
+
+
+class TestReleasedReplicas:
+    """A socket worker drops a finished job's replica (the ``release``
+    frame), so a long-lived pool does not grow by one replica per job."""
+
+    def test_worker_drops_each_finished_job(self):
+        refs = {
+            f"j{i}": lpq_quantize(spec=dataclasses.replace(SPEC, seed=i))
+            for i in range(3)
+        }
+        server = WorkerServer().start()
+        held_after: dict[str, dict] = {}
+
+        def on_finished(name, handle):
+            # the release frame queues behind the job's earlier tasks:
+            # give the worker's evaluator a moment to reach it
+            deadline = time.monotonic() + 10.0
+            held = _held_replicas(server)
+            while any(name in jobs for jobs in held.values()) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+                held = _held_replicas(server)
+            held_after[name] = held
+
+        try:
+            scheduler = SearchScheduler(
+                executor=_remote_executor([server.address]),
+                on_finished=on_finished,
+            )
+            for name in refs:
+                scheduler.submit(
+                    name, spec=dataclasses.replace(SPEC, seed=int(name[1:]))
+                )
+            results = scheduler.run()
+        finally:
+            server.stop()
+        assert sorted(held_after) == ["j0", "j1", "j2"]
+        for name, held in held_after.items():
+            assert held, "the pool's session was gone before the job ended"
+            assert all(name not in jobs for jobs in held.values()), (
+                name, held)
+        for name, ref in refs.items():
+            assert results[name].solution == ref.solution
+            assert results[name].fitness == ref.fitness
+
+
 class TestRemoteExecutorAdapter:
     def test_registered_as_executor_backend(self, serve_setup):
         from repro.quant import collect_layer_stats

@@ -351,3 +351,71 @@ class TestSchedulerStats:
         scheduler.run()
         stats = scheduler.stats()
         assert json.loads(json.dumps(stats)) == stats
+
+
+class TestContinuousAdmission:
+    """``submit()`` from another thread while ``run()`` runs: the job
+    joins that run, starts in priority order under the cap, and a
+    finished job keeps only its handle and counters."""
+
+    def test_job_submitted_mid_run_joins_it(self, serve_setup):
+        import threading
+
+        cnn, mlp, images = serve_setup
+        refs = {"first": _standalone(cnn, images),
+                "late": _standalone(mlp, images)}
+        reset_perf()
+        started, seen = [], []
+
+        def on_batch(name, info):
+            if name == "first" and info["seq"] == 0:
+                # another thread submits while run() is running
+                thread = threading.Thread(
+                    target=scheduler.submit, args=("late", mlp, images),
+                    kwargs={"config": SEARCH},
+                )
+                thread.start()
+                thread.join(60.0)
+            seen.append(scheduler.stats())
+
+        scheduler = SearchScheduler(on_started=started.append,
+                                    on_batch=on_batch)
+        scheduler.submit("first", cnn, images, config=SEARCH)
+        results = scheduler.run()
+        assert started == ["first", "late"]
+        assert sorted(results) == ["first", "late"]
+        for name, ref in refs.items():
+            assert results[name].solution == ref.solution
+            assert results[name].fitness == ref.fitness
+            assert (results[name].history.best_fitness
+                    == ref.history.best_fitness)
+        # the late job ran alongside the first, not after it
+        assert any(s["jobs"]["first"]["state"] == "pending"
+                   and s["jobs"].get("late", {}).get("evaluations")
+                   for s in seen)
+
+    def test_priority_and_cap_order_the_starts(self, serve_setup):
+        cnn, mlp, images = serve_setup
+        started = []
+        scheduler = SearchScheduler(max_active_jobs=1,
+                                    on_started=started.append)
+        scheduler.submit("low", cnn, images, config=SEARCH)
+        scheduler.submit("high", mlp, images, config=SEARCH, priority=5)
+        scheduler.submit("mid", cnn, images, config=SEARCH, priority=1)
+        scheduler.run()
+        assert started == ["high", "mid", "low"]
+
+    def test_finished_job_keeps_only_handle_and_counters(self,
+                                                        serve_setup):
+        cnn, _, images = serve_setup
+        scheduler = SearchScheduler()
+        handle = scheduler.submit("cnn", cnn, images, config=SEARCH)
+        result = scheduler.run()["cnn"]
+        st = scheduler._jobs["cnn"]
+        assert st.handle is handle and handle.done
+        assert st.spec is None and st.engine is None and st.gen is None
+        assert st.search is None and st.stats is None and st.perf is None
+        assert st.memo == {} and st.batch is None and st.unique is None
+        assert st.evaluations == result.evaluations
+        assert scheduler.stats()["jobs"]["cnn"]["evaluations"] \
+            == result.evaluations

@@ -7,6 +7,7 @@ job bitwise-identical to an uninterrupted serial
 digest store for free, interrupted jobs re-run exactly once.
 """
 
+import contextlib
 import os
 import shutil
 import signal
@@ -19,8 +20,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.parallel import ExecutorConfig
 from repro.perf import PerfRegistry
 from repro.quant import lpq_quantize
+from repro.serve.remote import local_worker_fleet
 from repro.serve.server import SearchClient, SearchServer, ServerError
 from repro.serve.store import Journal
 from repro.spec import CalibSpec, SearchSpec
@@ -388,3 +391,139 @@ class TestQueueControl:
         with pytest.raises(ServerError, match="cancelled"):
             client.wait("parked", timeout=30.0)
         client.close()
+
+
+@contextlib.contextmanager
+def _backend(name: str):
+    """The daemon's executor for ``name``; a remote one gets a two-worker
+    in-process fleet for the duration."""
+    if name != "remote":
+        yield ExecutorConfig(name, workers=2 if name == "process" else None)
+        return
+    with local_worker_fleet(2) as addresses:
+        yield ExecutorConfig("remote", addresses=addresses)
+
+
+class TestContinuousAdmission:
+    """A job accepted while another runs joins the running scheduler
+    instead of waiting for it to drain."""
+
+    @pytest.mark.parametrize("backend", ["serial", "process", "remote"])
+    def test_late_job_starts_before_running_job_ends(self, tmp_path,
+                                                      serial_refs, backend):
+        held, gate = threading.Event(), threading.Event()
+
+        def hold(server, name, info):
+            if name == "j0" and info["seq"] == 0:
+                held.set()
+                gate.wait(timeout=60.0)
+            return False
+
+        with _backend(backend) as executor:
+            server = SearchServer(
+                data_dir=tmp_path / "d", executor=executor,
+                crash_hook=hold, perf=PerfRegistry(),
+            ).start()
+            try:
+                server.submit_job(_spec(10), name="j0")
+                assert held.wait(60.0), "j0 never reached a batch boundary"
+                server.submit_job(_spec(11), name="j1")
+                gate.set()
+                _wait_states(server, {"j0": "done", "j1": "done"})
+                ops = [(r["op"], r["job"])
+                       for r in server.journal.replay()]
+                for idx, seed in enumerate((10, 11)):
+                    _assert_bitwise(server.job_record(f"j{idx}"),
+                                    serial_refs[seed])
+            finally:
+                gate.set()
+                server.stop()
+        assert ops.index(("running", "j1")) < ops.index(("done", "j0"))
+
+
+class TestBoundsSoak:
+    """Twelve tiny jobs in three bursts through one daemon over a
+    two-worker fleet: one dial per worker per busy period, no worker
+    session holding more replicas than there are jobs in flight, and a
+    thread count that levels off."""
+
+    def test_connects_replicas_and_threads_stay_bounded(self, tmp_path,
+                                                        monkeypatch):
+        from repro.serve.remote import SharedRemotePool, WorkerServer
+        from repro.serve.scheduler import SearchScheduler
+
+        counts = {"connects": 0, "runs": 0}
+        connect, run = SharedRemotePool._connect, SearchScheduler.run
+
+        def counting_connect(self, address):
+            counts["connects"] += 1
+            return connect(self, address)
+
+        def counting_run(self):
+            counts["runs"] += 1
+            return run(self)
+
+        monkeypatch.setattr(SharedRemotePool, "_connect", counting_connect)
+        monkeypatch.setattr(SearchScheduler, "run", counting_run)
+        cap, bursts, per_burst = 2, 3, 4
+        workers = [WorkerServer().start() for _ in range(2)]
+        burst_ready = threading.Event()
+        replicas: list[int] = []
+
+        def sample(server, name, info):
+            # every burst is one busy period: its jobs cannot pass their
+            # first batch until the whole burst is queued
+            burst_ready.wait(timeout=60.0)
+            for worker in workers:
+                for jobs in _session_replicas(worker):
+                    replicas.append(len(jobs))
+            return False
+
+        server = SearchServer(
+            data_dir=tmp_path / "d",
+            executor=ExecutorConfig(
+                "remote", addresses=[w.address for w in workers]),
+            max_jobs_per_round=cap, crash_hook=sample, perf=PerfRegistry(),
+        ).start()
+        threads = []
+        try:
+            for burst in range(bursts):
+                burst_ready.clear()
+                names = []
+                for idx in range(per_burst):
+                    seed = 100 + burst * per_burst + idx
+                    job, _ = server.submit_job(_spec(seed))
+                    names.append(job.name)
+                burst_ready.set()
+                _wait_states(server, {name: "done" for name in names})
+                threads.append(_settled_thread_count())
+        finally:
+            burst_ready.set()
+            server.stop()
+            for worker in workers:
+                worker.stop()
+        assert server.stats["executed"] == bursts * per_burst
+        # a burst queued right as the last one drains may join its run
+        assert 1 <= counts["runs"] <= bursts
+        assert counts["connects"] == len(workers) * counts["runs"]
+        assert replicas and max(replicas) <= cap
+        assert threads[-1] <= threads[0], threads
+
+
+def _session_replicas(worker) -> list[set]:
+    with worker._lock:
+        sessions = list(worker._sessions)
+    return [set(s._entries) for s in sessions]
+
+
+def _settled_thread_count(timeout: float = 10.0) -> int:
+    """The process's thread count once closing pools' threads exit."""
+    deadline = time.monotonic() + timeout
+    count = threading.active_count()
+    while time.monotonic() < deadline:
+        time.sleep(0.2)
+        now = threading.active_count()
+        if now == count:
+            return now
+        count = now
+    return count
