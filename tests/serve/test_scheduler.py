@@ -358,8 +358,15 @@ class TestContinuousAdmission:
     joins that run, starts in priority order under the cap, and a
     finished job keeps only its handle and counters."""
 
-    def test_job_submitted_mid_run_joins_it(self, serve_setup):
+    @pytest.mark.parametrize("backend", ["serial", "process", "remote"])
+    def test_job_submitted_mid_run_joins_it(self, serve_setup, backend):
+        """A live-model job added to the running pool: its tensors reach
+        the workers with its tasks (process) or through ``blob_get``
+        (remote)."""
+        import contextlib
         import threading
+
+        from repro.serve.remote import local_worker_fleet
 
         cnn, mlp, images = serve_setup
         refs = {"first": _standalone(cnn, images),
@@ -378,10 +385,18 @@ class TestContinuousAdmission:
                 thread.join(60.0)
             seen.append(scheduler.stats())
 
-        scheduler = SearchScheduler(on_started=started.append,
-                                    on_batch=on_batch)
-        scheduler.submit("first", cnn, images, config=SEARCH)
-        results = scheduler.run()
+        with contextlib.ExitStack() as stack:
+            if backend == "remote":
+                addresses = stack.enter_context(local_worker_fleet(2))
+                executor = ExecutorConfig("remote", addresses=addresses)
+            else:
+                executor = ExecutorConfig(
+                    backend, workers=2 if backend == "process" else None)
+            scheduler = SearchScheduler(executor=executor,
+                                        on_started=started.append,
+                                        on_batch=on_batch)
+            scheduler.submit("first", cnn, images, config=SEARCH)
+            results = scheduler.run()
         assert started == ["first", "late"]
         assert sorted(results) == ["first", "late"]
         for name, ref in refs.items():
