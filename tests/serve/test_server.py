@@ -23,7 +23,12 @@ import pytest
 from repro.parallel import ExecutorConfig
 from repro.perf import PerfRegistry
 from repro.quant import lpq_quantize
-from repro.serve.remote import local_worker_fleet
+from repro.serve.remote import (
+    SharedRemotePool,
+    WorkerServer,
+    local_worker_fleet,
+)
+from repro.serve.scheduler import SearchScheduler
 from repro.serve.server import SearchClient, SearchServer, ServerError
 from repro.serve.store import Journal
 from repro.spec import CalibSpec, SearchSpec
@@ -449,9 +454,6 @@ class TestBoundsSoak:
 
     def test_connects_replicas_and_threads_stay_bounded(self, tmp_path,
                                                         monkeypatch):
-        from repro.serve.remote import SharedRemotePool, WorkerServer
-        from repro.serve.scheduler import SearchScheduler
-
         counts = {"connects": 0, "runs": 0}
         connect, run = SharedRemotePool._connect, SearchScheduler.run
 
