@@ -10,8 +10,9 @@ Usage::
 
 For every selected model the record compares the reference evaluation
 path, the incremental engine (fitness memo, weight/activation quant
-caches, fused BN recalibration, prefix-reuse forwards), and the parallel
-population executors (``repro.parallel``) on the same search, asserting
+caches, fused BN recalibration, prefix-reuse forwards), and each
+backend's pool running the same search as a one-job
+``repro.serve.SearchScheduler`` (what ``lpq_quantize`` runs), asserting
 the trajectories stay bitwise identical.  The ``multi_job`` section
 additionally compares two jobs run back-to-back against the
 ``repro.serve`` shared-pool scheduler, and the ``transport`` section

@@ -2,32 +2,30 @@
 
 The GA's Step-3 diversity children are embarrassingly parallel: each
 candidate evaluation is independent given a frozen model and calibration
-batch.  This package fans population slices out across worker replicas:
+batch.  This package holds what fans population slices out across
+worker replicas:
 
 * :class:`EvaluatorSpec` — picklable recipe (model source, calibration
   state, config) that every worker builds its private evaluator from;
-* :class:`PopulationEvaluator` — the batched evaluator the GA engine
-  talks to: memo-dedupes candidates, fans the rest out, returns results
-  in submission order;
-* :class:`ExecutorConfig` + ``serial`` / ``process`` / ``remote``
-  executors — interchangeable backends with deterministic ordering and
-  perf-snapshot merging (worker cache hit-rates stay truthful).  The
-  process backend runs the same worker body as the scheduler's shared
-  process pool; the remote backend fans out to TCP workers
-  (:mod:`repro.serve.remote`) addressed by ``host:port``.
+* :class:`ExecutorConfig` — the ``serial`` / ``process`` / ``remote``
+  backend selection, and the process-worker body the shared pools of
+  :mod:`repro.serve.pool` run;
+* :class:`PopulationEvaluator` over ``serial`` / ``process`` /
+  ``remote`` executors — a batched evaluator with its own memo and
+  deterministic ordering.  No search runs on it any more:
+  :func:`repro.quant.lpq_quantize` is a one-job
+  :class:`repro.serve.SearchScheduler`, so the scheduler's pools are
+  the one evaluation path.
 
 The hard guarantee mirrors the incremental engine's: every backend
 produces bitwise-identical fitness values and search trajectories.
-:func:`repro.quant.lpq_quantize` itself runs this evaluator, on the
-serial backend unless told otherwise.
 
 ::
 
-    from repro.parallel import EvaluatorSpec, ExecutorConfig, PopulationEvaluator
-    spec = EvaluatorSpec(images=calib, model=model, stats=stats)
-    with PopulationEvaluator(spec, ExecutorConfig("process", 4)) as ev:
-        engine = LPQEngine(ev, stats.weight_log_centers, config)
-        solution, fitness = engine.run()
+    from repro.parallel import ExecutorConfig
+    from repro.quant import lpq_quantize
+    result = lpq_quantize(model, calib, config=config,
+                          executor=ExecutorConfig("process", 4))
 """
 
 from .evaluator import EvaluatorReplica, EvaluatorSpec, PopulationEvaluator

@@ -15,10 +15,12 @@ pickle fine), the calibration batch, layer statistics, and the fitness
 configuration.  Workers rebuild byte-identical evaluators from it, so
 every backend produces bitwise-identical fitness values.
 
-:class:`PopulationEvaluator` is what the GA engine talks to: a callable
-with ``evaluate_many`` that dedupes candidates against a population-level
-memo and fans the rest out through an executor backend, returning results
-in submission order.
+:class:`PopulationEvaluator` is a callable with ``evaluate_many`` that
+dedupes candidates against a population-level memo and fans the rest
+out through an executor backend, returning results in submission order.
+Searches do not run on it: :func:`repro.quant.lpq_quantize` is a
+one-job :class:`repro.serve.SearchScheduler`, whose job memo and shared
+pools do the same work.
 """
 
 from __future__ import annotations

@@ -5,8 +5,7 @@ Three interchangeable backends score batches of candidates:
 * ``serial`` — one replica in the calling thread.  Zero overhead, and
   because the replica records into the ambient perf registry and its
   caches live across batches, a serial run is bit-for-bit *and*
-  counter-for-counter the incremental engine.  It is also what
-  :func:`repro.quant.lpq_quantize` runs when no executor is given.
+  counter-for-counter the incremental engine.
 * ``process`` — a :class:`multiprocessing.pool.Pool` running the same
   worker body as the scheduler's shared process pool, with a one-job
   table: each worker builds its replica from the wire payload (or the
@@ -23,6 +22,10 @@ into private :class:`~repro.perf.PerfRegistry` instances and ship one
 snapshot *delta* per result; the coordinating process merges the deltas
 into the ambient registry, so counters and cache hit-rates stay truthful
 after a fan-out.
+
+No search runs on these executors (:func:`repro.quant.lpq_quantize` is
+a one-job :class:`repro.serve.SearchScheduler`); the shared pools use
+this module's :class:`ExecutorConfig`, worker body and payload helper.
 """
 
 from __future__ import annotations
@@ -107,11 +110,11 @@ class ExecutorConfig:
     default; ``"local"`` degrades gracefully by evaluating remaining
     chunks on an in-process fallback evaluator, bitwise-identically).
 
-    The same config drives single-search executors
-    (:func:`repro.quant.lpq_quantize`'s ``executor`` knob) and the
-    shared multi-search pools of :class:`repro.serve.SearchScheduler`;
-    whatever the backend and worker count, search trajectories are
-    bitwise-identical — the knob only changes wall-clock.
+    The same config is :func:`repro.quant.lpq_quantize`'s ``executor``
+    knob and selects the shared pool of a
+    :class:`repro.serve.SearchScheduler`; whatever the backend and
+    worker count, search trajectories are bitwise-identical — the knob
+    only changes wall-clock.
 
     >>> from repro.parallel import ExecutorConfig
     >>> ExecutorConfig().backend  # serial: in-process, zero overhead
@@ -245,12 +248,12 @@ class SerialExecutor:
 # -- process workers ----------------------------------------------------
 # One worker body serves both process stacks: ProcessExecutor (a
 # one-job table) and repro.serve's SharedProcessPool (one entry per
-# scheduled job).  Worker state lives in module globals: each worker
-# receives the full job table once at init, builds a replica lazily
-# per job on its first task, and drops it when a later task lists the
-# job as finished.  A table entry is a plain-JSON wire
-# payload (repro.spec.wire) or, for specs the wire codec rejects, the
-# pickled EvaluatorSpec itself.  A job whose replica fails to decode or
+# scheduled job; every search runs there).  Worker state lives in
+# module globals: each worker receives the full job table once at init,
+# builds a replica lazily per job on its first task, and drops it when
+# a later task lists the job as finished.  A table entry is what
+# _worker_payload returns: a plain-JSON wire payload (repro.spec.wire)
+# or, for specs the wire codec rejects, the pickled EvaluatorSpec.  A job whose replica fails to decode or
 # build fails *its own* tasks (the error travels back inside the result
 # tuple); the worker survives and keeps serving other jobs.
 _SHARED_JOBS: dict | None = None
@@ -273,6 +276,19 @@ def _build_entry(spec: EvaluatorSpec, copy_model: bool):
     registry = PerfRegistry()
     replica = spec.build(perf=registry, copy_model=copy_model)
     return (replica, registry, [registry.snapshot()])
+
+
+def _worker_payload(spec: EvaluatorSpec, search=None, blobs=None):
+    """A job's entry in a process worker's table: its plain-JSON wire
+    payload (:func:`repro.spec.wire.encode_job`), or the
+    :class:`EvaluatorSpec` itself, pickled by the pool, when the wire
+    codec rejects it (unimportable models, probe mismatches)."""
+    from ..spec.wire import encode_job
+
+    try:
+        return encode_job(spec, search, blobs=blobs)
+    except ValueError:
+        return spec
 
 
 def _init_shared_worker(jobs: dict, blob_table: dict | None = None) -> None:
@@ -376,24 +392,20 @@ class ProcessExecutor:
         perf,
         start_method: str | None = None,
     ) -> None:
+        from ..spec.blob import (
+            account_transport,
+            blob_transport_table,
+            get_blob_store,
+        )
+
         self.workers = workers
         self.perf = perf
-        table, blob_table = {self._JOB: spec}, None
-        try:
-            from ..spec.blob import (
-                account_transport,
-                blob_transport_table,
-                get_blob_store,
-            )
-            from ..spec.wire import encode_job
-
-            store = get_blob_store()
-            wire = encode_job(spec, blobs=store)
+        store = get_blob_store()
+        payload = _worker_payload(spec, blobs=store)
+        table, blob_table = {self._JOB: payload}, None
+        if isinstance(payload, dict):
             blob_table = blob_transport_table(store)
-            table = {self._JOB: wire}
-            account_transport(perf, wire, blob_table, workers)
-        except ValueError:
-            pass  # not wire-encodable: the worker unpickles the spec
+            account_transport(perf, payload, blob_table, workers)
         ctx = (
             multiprocessing.get_context(start_method)
             if start_method

@@ -8,8 +8,9 @@ analogue) the *same* genetic search runs several ways:
 * ``fast`` — the PR-1 incremental engine (fitness memo, quantized-weight
   + activation-quant caches, fused recalibration, prefix-reuse forwards);
 * one section per executor backend (``serial`` / ``process`` /
-  ``remote``) — the incremental engine fanned out across
-  worker replicas by :class:`repro.parallel.PopulationEvaluator`; the
+  ``remote``) — the incremental engine as a one-job
+  :class:`repro.serve.SearchScheduler` run on that backend's pool, the
+  path :func:`repro.quant.lpq_quantize` takes, pool start included; the
   remote section measures the full socket transport against a
   localhost worker fleet (or ``addresses`` of an external one).
 
@@ -26,10 +27,11 @@ high-resolution layers dominate: the deeper the first changed layer, the
 bigger the replayed prefix.
 
 The ``multi_job`` section measures the :mod:`repro.serve` scheduler: two
-search jobs run back-to-back (a dedicated executor pool each) and then
-multiplexed onto one shared pool, whole-job wall clock both ways.  The
-shared pool must win on aggregate throughput while every per-job
-trajectory stays bitwise-identical to its back-to-back run.
+search jobs run back-to-back (a one-job scheduler on a dedicated pool
+each) and then multiplexed onto one shared pool, whole-job wall clock
+both ways.  The shared pool must win on aggregate throughput while
+every per-job trajectory stays bitwise-identical to its back-to-back
+run.
 
 ``python scripts/run_search_throughput_bench.py`` emits the record as
 ``BENCH_search_throughput.json`` so the perf trajectory is tracked
@@ -191,17 +193,21 @@ def _prepare(model_name: str, calib: int, seed: int):
     return model, images, stats
 
 
-def _measurements(engine_run, evaluator) -> dict:
-    """Time one search and collect the standard per-run section."""
+def _measurements(run) -> dict:
+    """Time one search and collect the standard per-run section.
+
+    ``run()`` performs the search and returns ``(solution, fitness,
+    history, evaluations, computed_evaluations)``.
+    """
     start = time.perf_counter()
-    solution, fitness = engine_run()
+    solution, fitness, history, evaluations, computed = run()
     wall = time.perf_counter() - start
     snapshot = get_perf().snapshot()
     return {
         "wall_s": wall,
-        "evaluations": evaluator.evaluations,
-        "computed_evaluations": evaluator.computed_evaluations,
-        "evals_per_s": evaluator.evaluations / wall if wall > 0 else 0.0,
+        "evaluations": evaluations,
+        "computed_evaluations": computed,
+        "evals_per_s": evaluations / wall if wall > 0 else 0.0,
         "best_fitness": fitness,
         "mean_bits": solution.mean_weight_bits(),
         "cache_evictions": {
@@ -210,6 +216,7 @@ def _measurements(engine_run, evaluator) -> dict:
             if stats["evictions"]
         },
         "perf": snapshot,
+        "history": list(history.best_fitness),
     }
 
 
@@ -273,9 +280,13 @@ def _run_search(
         return evaluator(solution, acts)
 
     engine = LPQEngine(evaluate, stats.weight_log_centers, config)
-    rec = _measurements(engine.run, evaluator)
-    rec["history"] = list(engine.history.best_fitness)
-    return rec
+
+    def run():
+        solution, fitness = engine.run()
+        return (solution, fitness, engine.history, evaluator.evaluations,
+                evaluator.computed_evaluations)
+
+    return _measurements(run)
 
 
 @contextlib.contextmanager
@@ -304,6 +315,29 @@ def _executor_context(
             yield ExecutorConfig("remote", addresses=fleet)
 
 
+def _one_job_search(executor, model_name: str, prepared, config):
+    """One full search as a one-job :class:`repro.serve.SearchScheduler`
+    run on ``executor`` — the path :func:`repro.quant.lpq_quantize`
+    takes.  Returns the :class:`~repro.quant.LPQResult` and the number
+    of candidates the pool computed (memo hits excluded)."""
+    from ..serve import SearchScheduler
+
+    model, images, stats = prepared
+    scheduler = SearchScheduler(executor=executor)
+    handle = scheduler.submit(
+        model_name,
+        calib_images=images,
+        builder=BENCH_MODELS[model_name],
+        state=model.state_dict(),
+        config=config,
+        fitness_config=FitnessConfig(fast=True),
+        stats=stats,
+    )
+    scheduler.run()
+    job = scheduler.stats()["jobs"][model_name]
+    return handle.result(), job["computed_evaluations"]
+
+
 def _run_search_backend(
     model_name: str,
     backend: str,
@@ -315,7 +349,7 @@ def _run_search_backend(
     executor_config=None,
     reset_blobs: bool = True,
 ) -> dict:
-    """One full search through a parallel population executor.
+    """One full search on one executor backend, pool start included.
 
     ``executor_config`` reuses a live :class:`~repro.parallel.
     ExecutorConfig` (e.g. one pointed at a still-running worker fleet)
@@ -324,30 +358,28 @@ def _run_search_backend(
     :class:`~repro.spec.blob.BlobStore` so content addressing answers
     from cache; the default resets it for an honest cold measurement.
     """
-    from ..parallel import EvaluatorSpec, PopulationEvaluator
-
-    model, images, stats = _prepare(model_name, calib, seed)
+    prepared = _prepare(model_name, calib, seed)
     reset_perf()
     if reset_blobs:
         reset_blob_store()
-    spec = EvaluatorSpec(
-        images=images,
-        builder=BENCH_MODELS[model_name],
-        state=model.state_dict(),
-        config=FitnessConfig(fast=True),
-        stats=stats,
-    )
     with contextlib.ExitStack() as stack:
         executor = executor_config
         if executor is None:
             executor = stack.enter_context(
                 _executor_context(backend, workers, addresses)
             )
-        evaluator = stack.enter_context(PopulationEvaluator(spec, executor))
-        engine = LPQEngine(evaluator, stats.weight_log_centers, config)
-        rec = _measurements(engine.run, evaluator)
-        rec["history"] = list(engine.history.best_fitness)
-        rec["workers"] = evaluator.workers
+
+        def run():
+            result, computed = _one_job_search(
+                executor, model_name, prepared, config
+            )
+            return (result.solution, result.fitness, result.history,
+                    result.evaluations, computed)
+
+        rec = _measurements(run)
+    rec["workers"] = (
+        1 if executor.backend == "serial" else executor.resolved_workers()
+    )
     rec["transport"] = _transport_counters(rec["perf"])
     return rec
 
@@ -383,14 +415,14 @@ def _multi_job_section(
     seed: int,
     addresses=None,
 ) -> dict:
-    """Same jobs run back-to-back (one pool each) vs multiplexed on one
-    shared pool by the :class:`repro.serve.SearchScheduler`.
+    """Same jobs run back-to-back (a one-job scheduler on its own pool
+    each) vs multiplexed on one shared pool by one
+    :class:`repro.serve.SearchScheduler`.
 
     Both legs time the *whole* job — pool startup included — because
     that is what running a fleet actually costs; per-job trajectories
     must stay bitwise-identical either way.
     """
-    from ..parallel import EvaluatorSpec, PopulationEvaluator
     from ..serve import SearchScheduler
 
     jobs = _multi_job_plan(model_names, config)
@@ -399,32 +431,16 @@ def _multi_job_section(
     sequential: dict = {}
     sequential_wall = 0.0
     for job_name, model_name, job_config in jobs:
-        model, images, stats = _prepare(model_name, calib, seed)
+        prepared = _prepare(model_name, calib, seed)
         reset_perf()
         start = time.perf_counter()
-        spec = EvaluatorSpec(
-            images=images,
-            builder=BENCH_MODELS[model_name],
-            state=model.state_dict(),
-            config=FitnessConfig(fast=True),
-            stats=stats,
-        )
-        with _executor_context(
-            backend, workers, addresses
-        ) as executor, PopulationEvaluator(spec, executor) as evaluator:
-            engine = LPQEngine(evaluator, stats.weight_log_centers, job_config)
-            solution, fitness = engine.run()
-            evaluations = evaluator.evaluations
+        with _executor_context(backend, workers, addresses) as executor:
+            result, _ = _one_job_search(
+                executor, model_name, prepared, job_config
+            )
         wall = time.perf_counter() - start
         sequential_wall += wall
-        sequential[job_name] = {
-            "wall_s": wall,
-            "best_fitness": fitness,
-            "mean_bits": solution.mean_weight_bits(),
-            "evaluations": evaluations,
-            "history": list(engine.history.best_fitness),
-            "solution": solution,
-        }
+        sequential[job_name] = {"wall_s": wall, "result": result}
 
     # -- scheduler: all jobs multiplexed on one shared pool --------------
     prepared = [
@@ -460,12 +476,12 @@ def _multi_job_section(
     total_evals = 0
     for job_name, model_name, _ in jobs:
         seq = sequential[job_name]
-        res = results[job_name]
+        ref, res = seq["result"], results[job_name]
         job_identical = (
-            res.fitness == seq["best_fitness"]
-            and list(res.history.best_fitness) == seq["history"]
-            and res.solution == seq["solution"]
-            and res.evaluations == seq["evaluations"]
+            res.fitness == ref.fitness
+            and res.history.best_fitness == ref.history.best_fitness
+            and res.solution == ref.solution
+            and res.evaluations == ref.evaluations
         )
         identical = identical and job_identical
         total_evals += res.evaluations
@@ -757,7 +773,7 @@ def run_search_throughput_bench(
         record["chaos"] = _chaos_section(
             models[0], calib, config, seed, tuple(chaos_plans)
         )
-    # worker counts each executor *actually* used (SerialExecutor is
+    # worker counts each pool *actually* used (the serial pool is
     # always 1 regardless of --workers); identical across models
     first_backends = record["models"][models[0]]["backends"]
     record["workers"] = {

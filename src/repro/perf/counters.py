@@ -211,19 +211,21 @@ def diff_snapshots(new: dict, old: dict) -> dict:
     Worker replicas snapshot their private registry after every task and
     return the delta since the previous task, letting the coordinating
     process merge exactly one task's worth of events per result (see
-    :meth:`PerfRegistry.merge_snapshot`).
+    :meth:`PerfRegistry.merge_snapshot`).  Entries that did not change
+    are left out, except a name ``old`` lacks: it travels even at zero,
+    so a merged registry knows every metric the replica created.
     """
     out: dict = {"counters": {}, "timers": {}, "caches": {}}
     old_counters = old.get("counters", {})
     for name, value in new.get("counters", {}).items():
         delta = value - old_counters.get(name, 0)
-        if delta:
+        if delta or name not in old_counters:
             out["counters"][name] = delta
     old_timers = old.get("timers", {})
     for name, t in new.get("timers", {}).items():
         prev = old_timers.get(name, {"total_s": 0.0, "count": 0})
         total, count = t["total_s"] - prev["total_s"], t["count"] - prev["count"]
-        if count or total:
+        if count or total or name not in old_timers:
             out["timers"][name] = {
                 "total_s": total,
                 "count": count,
@@ -235,7 +237,7 @@ def diff_snapshots(new: dict, old: dict) -> dict:
         hits = c["hits"] - prev["hits"]
         misses = c["misses"] - prev["misses"]
         evictions = c["evictions"] - prev["evictions"]
-        if hits or misses or evictions:
+        if hits or misses or evictions or name not in old_caches:
             lookups = hits + misses
             out["caches"][name] = {
                 "hits": hits,

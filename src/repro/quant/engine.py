@@ -226,9 +226,9 @@ class IncrementalEvaluator:
         prefilled through :meth:`prefill_weights` first — one LUT lookup
         per shared format instead of per-layer-per-candidate calls —
         then each candidate runs the usual (bitwise-identical)
-        incremental path against a warm cache.  A
-        :class:`repro.parallel.PopulationEvaluator` additionally fans
-        the batch out across executor workers.
+        incremental path against a warm cache.  Every pool worker
+        replica of a :class:`repro.serve.SearchScheduler` job scores
+        its chunks through this method.
         """
         solutions = list(solutions)
         if act_params_list is None:

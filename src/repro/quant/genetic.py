@@ -137,12 +137,12 @@ class LPQEngine:
     def _evaluate_batch(self, solutions: list[QuantSolution]) -> list[float]:
         """Score a batch of candidates, results in submission order.
 
-        Evaluators exposing ``evaluate_many`` (the incremental evaluators
-        and :class:`repro.parallel.PopulationEvaluator`) receive the whole
-        batch at once — duplicates are deduped against their memo and the
-        rest fanned out across executor workers; plain callables are
-        scored serially.  Either way the returned order matches the
-        submitted order, so trajectories are backend-independent.
+        Evaluators exposing ``evaluate_many`` (the incremental
+        evaluators) receive the whole batch at once; plain callables are
+        scored one candidate at a time.  Either way the returned order
+        matches the submitted order.  Searches that fan a batch out
+        across workers drive the engine through :meth:`work_units`
+        instead (:class:`repro.serve.SearchScheduler`).
         """
         if self.evaluator is None:
             raise RuntimeError(
@@ -328,15 +328,19 @@ class LPQEngine:
         with batches from other searches — and the trajectory stays
         bitwise-identical to a standalone :meth:`run`.  This is the seam
         :class:`repro.serve.SearchScheduler` multiplexes many searches
-        through one executor with.
+        through one executor with.  The ``lpq.*`` timers span the same
+        work as in :meth:`run`, waiting for the driver included.
         """
-        if not self.population:
-            sols = self.propose_initial()
-            fits = yield sols
-            self.commit_initial(sols, fits)
-        for _ in range(self.config.passes):
-            for block in self._blocks():
-                for _ in range(self.config.cycles):
-                    cands = self.propose_step(block)
-                    fits = yield cands
-                    self.commit_step(cands, fits)
+        with self.perf.timer("lpq.run").time():
+            if not self.population:
+                with self.perf.timer("lpq.initialize").time():
+                    sols = self.propose_initial()
+                    fits = yield sols
+                self.commit_initial(sols, fits)
+            for _ in range(self.config.passes):
+                for block in self._blocks():
+                    for _ in range(self.config.cycles):
+                        with self.perf.timer("lpq.step").time():
+                            cands = self.propose_step(block)
+                            fits = yield cands
+                            self.commit_step(cands, fits)

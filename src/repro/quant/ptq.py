@@ -3,6 +3,8 @@
 ``lpq_quantize(model, calib_images)`` runs the full LPQ pipeline — layer
 statistics, fitness evaluator, genetic search, activation-parameter
 derivation — and returns everything needed to deploy or score the result.
+The search runs as a one-job :class:`repro.serve.SearchScheduler`, the
+same evaluation path as a multi-search fleet and the search daemon.
 
 Both call styles are the same code: the legacy keyword signature is a
 thin shim that constructs an (inline) :class:`repro.spec.SearchSpec`,
@@ -23,14 +25,9 @@ import numpy as np
 from ..nn import Module
 from ..numerics import LPParams
 from .fitness import FitnessConfig
-from .genetic import LPQConfig, LPQEngine, SearchHistory
-from .objectives import OBJECTIVES
+from .genetic import LPQConfig, SearchHistory
 from .params import QuantSolution
-from .quantizer import (
-    LayerStats,
-    collect_layer_stats,
-    derive_activation_params,
-)
+from .quantizer import LayerStats
 
 __all__ = ["LPQResult", "lpq_quantize"]
 
@@ -75,12 +72,20 @@ def lpq_quantize(
     contrastive objective by default, or one of the Fig. 5(a) baselines
     ("mse", "kl", "cosine", "global_contrastive").
 
-    ``executor`` (a :class:`repro.parallel.ExecutorConfig`) fans the
-    population evaluation out across worker replicas — ``serial`` (the
-    default, also for ``None``), ``process`` or ``remote`` backends.
-    Every backend produces a bitwise-identical search trajectory; the
-    knob only changes wall-clock.  To quantize *several* models on one
-    shared worker pool, see :func:`repro.serve.lpq_quantize_many`.
+    ``executor`` (a :class:`repro.parallel.ExecutorConfig`) selects the
+    pool the search's one scheduler job runs on — ``serial`` (the
+    default, also for ``None``; it scores the caller's model instance
+    itself, no copy), ``process`` or ``remote``.  Every backend produces
+    a bitwise-identical search trajectory; the knob only changes
+    wall-clock.  To quantize *several* models on one shared worker
+    pool, see :func:`repro.serve.lpq_quantize_many`.
+
+    A failure inside the search (a model whose forward raises, a
+    replica that cannot be built) raises ``RuntimeError`` carrying the
+    worker traceback, on every backend — the
+    :meth:`repro.serve.SearchHandle.result` of the search's job.
+    Invalid arguments still raise ``TypeError``/``ValueError`` up
+    front.
 
     ``spec`` (a :class:`repro.spec.SearchSpec`, mutually exclusive with
     every other argument) runs a declarative search request instead: the
@@ -165,51 +170,29 @@ def lpq_quantize(
 def _run_spec(
     spec, model: Module | None = None, calib_images: np.ndarray | None = None
 ) -> LPQResult:
-    """The one LPQ implementation behind both call styles.
+    """The one LPQ implementation behind both call styles: a one-job
+    :class:`repro.serve.SearchScheduler` run on ``spec.executor``.
 
     ``model``/``calib_images`` carry the live objects of an inline
-    (legacy-shim) spec; a declarative spec resolves them through the
-    component registries instead.
+    (legacy-shim) spec.  A serializable spec goes in as itself, so
+    process and remote workers receive its compact registry payload.
     """
-    if model is None:
-        model = spec.build_model()
-    if calib_images is None:
-        calib_images = spec.build_calib()
-    config = spec.search_config()
-    fitness_config = spec.fitness
-    objective = spec.objective
-    act_sf_mode = spec.act_sf_mode
-    executor = spec.executor
-    stats = collect_layer_stats(model, calib_images)
-    if objective not in OBJECTIVES:
-        raise ValueError(
-            f"unknown objective {objective!r}; choose from {sorted(OBJECTIVES)}"
-        )
-    # deferred import: repro.parallel builds on this package
-    from ..parallel import EvaluatorSpec, PopulationEvaluator
+    # deferred import: repro.serve builds on this package
+    from ..serve import SearchScheduler
 
-    espec = EvaluatorSpec(
-        images=calib_images,
-        model=model,
-        config=fitness_config,
-        objective=(
-            None if objective == "global_local_contrastive" else objective
-        ),
-        act_mode=act_sf_mode,
-        stats=stats,
-    )
-    # executor=None is the serial backend: one in-process replica
-    # scoring the caller's model as-is (no copy)
-    with PopulationEvaluator(espec, executor) as evaluator:
-        engine = LPQEngine(evaluator, stats.weight_log_centers, config)
-        solution, fitness = engine.run()
-        evaluations = evaluator.evaluations
-    act_params = derive_activation_params(solution, stats, mode=act_sf_mode)
-    return LPQResult(
-        solution=solution,
-        act_params=act_params,
-        fitness=fitness,
-        history=engine.history,
-        stats=stats,
-        evaluations=evaluations,
-    )
+    scheduler = SearchScheduler(executor=spec.executor)
+    name = spec.job_name("lpq_quantize")
+    if spec.serializable:
+        handle = scheduler.submit(name, spec=spec)
+    else:
+        handle = scheduler.submit(
+            name,
+            spec.build_model() if model is None else model,
+            spec.build_calib() if calib_images is None else calib_images,
+            config=spec.search_config(),
+            fitness_config=spec.fitness,
+            objective=spec.objective,
+            act_sf_mode=spec.act_sf_mode,
+        )
+    scheduler.run()
+    return handle.result()

@@ -23,16 +23,19 @@ thread.  Backends register in the ``shared_pool`` component registry
 :class:`~repro.parallel.ExecutorConfig` validates against:
 
 * ``serial`` — :class:`SharedSerialPool`: one in-process replica per
-  job; submit evaluates synchronously.  The zero-overhead baseline.
+  job; submit evaluates synchronously.  The zero-overhead baseline,
+  and what :func:`repro.quant.lpq_quantize` (a one-job scheduler) runs
+  by default: a replica scores the job's model instance itself unless
+  it cannot own it (see :meth:`SharedSerialPool.submit`).
 * ``process`` — :class:`SharedProcessPool`: a
   :class:`multiprocessing.pool.Pool` whose workers receive the full
-  ``job → wire payload`` map at init (a job added later rides with its
-  tasks) and build replicas lazily per job on first task.  The
-  payloads are plain JSON dicts
-  (:func:`repro.spec.wire.encode_job`) — no pickled evaluator objects
-  cross the pool boundary.  Only ``(job, candidates)`` and ``(fitness,
-  perf-delta)`` cross per task.  The worker body is the one
-  :class:`repro.parallel.ProcessExecutor` runs with a one-job table.
+  ``job → payload`` map at init (a job added later rides with its
+  tasks) and build replicas lazily per job on first task.  A payload
+  is the job's plain-JSON wire dict
+  (:func:`repro.spec.wire.encode_job`), or the pickled
+  :class:`~repro.parallel.EvaluatorSpec` of a job the wire codec
+  rejects.  Only ``(job, candidates)`` and ``(fitness, perf-delta)``
+  cross per task.
 * ``remote`` — :class:`repro.serve.remote.SharedRemotePool`: the same
   wire payloads framed over TCP sockets to standalone workers
   (``scripts/run_worker.py``), with token handshake, heartbeat
@@ -62,6 +65,7 @@ from ..parallel.executor import (
     _evaluate_shared_chunk,
     _evaluate_with_entry,
     _init_shared_worker,
+    _worker_payload,
 )
 from ..spec import registry as spec_registry
 
@@ -172,7 +176,13 @@ class WorkerPool(abc.ABC):
 
 class SharedSerialPool(WorkerPool):
     """In-process multi-job pool; ``submit`` evaluates synchronously and
-    enqueues the result before returning."""
+    enqueues the result before returning.
+
+    A job's replica scores its model instance in place, with no copy,
+    unless another job in the pool's table holds the same instance or
+    the job loads a state dict into it; then the replica deep-copies
+    the model first.
+    """
 
     def __init__(
         self, specs: dict[str, EvaluatorSpec], results: queue.SimpleQueue
@@ -187,9 +197,17 @@ class SharedSerialPool(WorkerPool):
         try:
             entry = self._replicas.get(job)
             if entry is None:
-                # copy_model=True: two jobs may legitimately share one
-                # model instance; each replica must mutate its own copy
-                entry = _build_entry(self._specs[job], copy_model=True)
+                # a job that joins later may load its own state dict
+                # into a shared instance, so a stateful job copies too
+                spec = self._specs[job]
+                shared = spec.model is not None and (
+                    spec.state is not None or any(
+                        other.model is spec.model
+                        for name, other in self._specs.items()
+                        if name != job
+                    )
+                )
+                entry = _build_entry(spec, copy_model=shared)
                 self._replicas[job] = entry
             fits, delta = _evaluate_with_entry(entry, solutions)
             result = ChunkResult(
@@ -218,9 +236,11 @@ class SharedProcessPool(WorkerPool):
     async callbacks, which enqueue :class:`ChunkResult` messages.
 
     ``wires`` maps job names to the plain-JSON payloads of
-    :func:`repro.spec.wire.encode_job`; they are the *only* job state
-    handed to workers (``self.wires`` is kept for inspection — the
-    protocol tests round-trip it through ``json.dumps``/``loads``).
+    :func:`repro.spec.wire.encode_job` — or, for a job the wire codec
+    rejects, its :class:`~repro.parallel.EvaluatorSpec`, which the pool
+    pickles; they are the *only* job state handed to workers
+    (``self.wires`` is kept for inspection — the protocol tests
+    round-trip it through ``json.dumps``/``loads``).
 
     ``blobs`` (the :class:`~repro.spec.blob.BlobStore` the wires were
     encoded against) switches on zero-copy transport: the store is
@@ -258,7 +278,12 @@ class SharedProcessPool(WorkerPool):
             from ..spec.blob import account_transport, blob_transport_table
 
             blob_table = blob_transport_table(blobs)
-            account_transport(get_perf(), self.wires, blob_table, workers)
+            account_transport(
+                get_perf(),
+                {k: w for k, w in self.wires.items() if isinstance(w, dict)},
+                blob_table,
+                workers,
+            )
         ctx = (
             multiprocessing.get_context(start_method)
             if start_method
@@ -292,10 +317,7 @@ class SharedProcessPool(WorkerPool):
         )
 
     def add(self, job: str, spec: EvaluatorSpec, search=None) -> None:
-        wire = encode_pool_wires(
-            {job: spec}, {job: search} if search is not None else None,
-            blobs=self._blobs,
-        )[job]
+        wire = _worker_payload(spec, search, blobs=self._blobs)
         table = None
         if self._blobs is not None:
             from ..spec.blob import blob_transport_table
@@ -321,7 +343,8 @@ def encode_pool_wires(
     search_specs: dict | None = None,
     blobs=None,
 ) -> dict[str, dict]:
-    """Encode every job for the wire (:func:`repro.spec.wire.encode_job`).
+    """Encode every job for the JSON wire of the remote pool
+    (:func:`repro.spec.wire.encode_job`).
 
     ``search_specs`` optionally maps job names to the declarative
     :class:`~repro.spec.SearchSpec` they were submitted as, which
@@ -340,7 +363,7 @@ def encode_pool_wires(
                                      blobs=blobs)
         except ValueError as exc:
             raise ValueError(
-                f"job {name!r} cannot cross the process-pool wire: {exc}"
+                f"job {name!r} cannot cross the worker wire: {exc}"
             ) from exc
     return wires
 
@@ -356,8 +379,8 @@ def make_shared_pool(
 
     The serial pool shares this process's memory and uses the live
     specs directly; the process and remote pools serialize — their
-    jobs travel as the plain-JSON wire payloads of
-    :func:`encode_pool_wires`.  Backends dispatch through the
+    jobs travel as plain-JSON wire payloads (the process pool pickles
+    the spec of a job the wire codec rejects).  Backends dispatch through the
     ``shared_pool`` registry (:mod:`repro.spec.registry`), so a
     registered extension backend — a factory ``(specs, config, results,
     search_specs) -> WorkerPool`` — slots in next to the built-in three.
@@ -382,8 +405,12 @@ def _make_shared_process_pool(specs, config, results, search_specs):
     # encode against the process-global store: re-submitted jobs dedupe
     # their tensors (blob hits) and reuse already-exported shm segments
     blobs = get_blob_store()
+    search_specs = search_specs or {}
     return SharedProcessPool(
-        encode_pool_wires(specs, search_specs, blobs=blobs),
+        {
+            name: _worker_payload(spec, search_specs.get(name), blobs=blobs)
+            for name, spec in specs.items()
+        },
         config.resolved_workers(),
         results,
         start_method=config.start_method,

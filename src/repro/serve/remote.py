@@ -1,7 +1,6 @@
 """Socket transport for the WorkerPool protocol: remote LPQ workers.
 
-This module takes the one step ROADMAP left open after PR 4: jobs
-already cross the pool boundary as plain-JSON wire payloads
+Jobs cross the pool boundary as plain-JSON wire payloads
 (:func:`repro.spec.wire.encode_job`), so here those payloads cross a
 TCP socket instead of a process-pool pipe.  Three pieces:
 
@@ -17,9 +16,11 @@ TCP socket instead of a process-pool pipe.  Three pieces:
   and requeues the in-flight chunks of a dead worker onto the
   survivors (evaluation is deterministic and side-effect-free, so a
   re-run chunk returns bit-identical fitness values).
-* :class:`RemoteExecutor` — the single-search adapter that makes
-  ``ExecutorConfig(backend="remote", addresses=[...])`` work through
-  :func:`repro.quant.lpq_quantize` unchanged.
+* :class:`RemoteExecutor` — the ``remote`` member of the
+  :mod:`repro.parallel` executor family.  No search runs on it:
+  :func:`repro.quant.lpq_quantize` with
+  ``ExecutorConfig(backend="remote", addresses=[...])`` is a one-job
+  scheduler on :class:`SharedRemotePool`.
 
 Framing is the length-prefixed JSON of :mod:`repro.spec.wire`
 (:func:`~repro.spec.wire.frame_message` / ``read_frame``); every
@@ -1651,9 +1652,8 @@ class RemoteExecutor:
     :class:`SharedRemotePool` with a single job: ``evaluate_batch``
     submits one chunk per candidate (matching the process backend's
     ``chunksize=1`` dispatch), reassembles results by chunk tag, and
-    merges worker perf deltas in submission order — so
-    ``lpq_quantize(..., executor=ExecutorConfig("remote",
-    addresses=[...]))`` is bitwise-identical to the serial backend.
+    merges worker perf deltas in submission order — bitwise-identical
+    to the serial backend.
     """
 
     _JOB = "job0"

@@ -19,8 +19,9 @@ replica is a byte-identical reconstruction of the job's
 serial pool, and from the job's plain-JSON wire payload
 (:mod:`repro.spec.wire`) for the process pool.  Scheduling therefore
 cannot move a bit — per-job results are bitwise-identical to a
-standalone :func:`repro.quant.lpq_quantize` with the same seed, on
-every backend (``tests/serve/test_scheduler.py`` asserts exactly this).
+standalone :func:`repro.quant.lpq_quantize` with the same seed (itself
+a one-job scheduler run), on every backend
+(``tests/serve/test_scheduler.py`` asserts exactly this).
 
 Failure is job-scoped: a replica that raises fails its own job (the
 handle reports the worker traceback) while the pool and every other job

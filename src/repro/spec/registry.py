@@ -107,9 +107,12 @@ class Registry(Mapping):
         """Return the component registered under ``name``.
 
         Raises ``KeyError`` naming the family and the registered names,
-        so a typo in a JSON spec produces an actionable message.
+        so a typo in a JSON spec produces an actionable message.  A name
+        already registered resolves without importing the rest of the
+        family's bootstrap modules.
         """
-        self._boot()
+        if name not in self._entries:
+            self._boot()
         try:
             return self._entries[name]
         except KeyError:

@@ -3,7 +3,7 @@
 import threading
 import time
 
-from repro.perf import PerfRegistry, get_perf, reset_perf
+from repro.perf import PerfRegistry, diff_snapshots, get_perf, reset_perf
 
 
 class TestPrimitives:
@@ -67,6 +67,23 @@ class TestRegistry:
         reg.counter("x").inc()
         reg.reset()
         assert reg.snapshot() == {"counters": {}, "timers": {}, "caches": {}}
+
+    def test_delta_carries_new_names_at_zero(self):
+        """A merged delta names every metric the source created, so a
+        replica's zero counter reaches the caller as it would have had
+        the replica recorded into the caller's registry directly."""
+        reg = PerfRegistry()
+        reg.counter("seen").inc()
+        before = reg.snapshot()
+        reg.counter("seen").inc(0)
+        reg.counter("fresh").inc(0)
+        reg.cache("fresh").miss(0)
+        delta = diff_snapshots(reg.snapshot(), before)
+        assert delta["counters"] == {"fresh": 0}
+        assert delta["caches"]["fresh"]["misses"] == 0
+        merged = PerfRegistry()
+        merged.merge_snapshot(delta)
+        assert merged.snapshot()["counters"] == {"fresh": 0}
 
     def test_global_registry_round_trip(self):
         reg = get_perf()

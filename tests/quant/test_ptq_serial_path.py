@@ -1,8 +1,8 @@
 """Default ``lpq_quantize`` ≡ the per-candidate closure search, bitwise.
 
-With no executor, ``lpq_quantize`` scores candidates through a serial
-:class:`repro.parallel.PopulationEvaluator` (population memo, batched
-weight prefill).  The reference below is an in-test copy of the
+With no executor, ``lpq_quantize`` scores candidates as a one-job
+:class:`repro.serve.SearchScheduler` on the serial pool (job memo,
+batched weight prefill).  The reference below is an in-test copy of the
 per-candidate loop it replaced: :class:`LPQEngine` over a closure that
 derives the activation parameters and calls the fitness or objective
 evaluator directly.  Both must agree on every bit of the solution,

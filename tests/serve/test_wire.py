@@ -244,8 +244,10 @@ class TestPoolProtocolIsJson:
     def test_sequential_instance_is_a_value_error(self, serve_setup):
         """``Sequential()`` rebuilds empty from its class name, so the
         state dict cannot load.  Encoding refuses with a ValueError
-        (not load_state_dict's KeyError): a single process search takes
-        the pickled-spec route, a scheduler names the job."""
+        (not load_state_dict's KeyError).  The process pool takes the
+        pickled-spec route, so a search and a scheduler job both run
+        bitwise equal to serial; the JSON-only wire of the remote pool
+        names the job it refuses."""
         from repro import nn
 
         _, _, images = serve_setup
@@ -266,9 +268,16 @@ class TestPoolProtocolIsJson:
         assert process.history.best_fitness == serial.history.best_fitness
         assert process.evaluations == serial.evaluations
         scheduler = SearchScheduler(ExecutorConfig("process", workers=2))
-        scheduler.submit("seq", model, images, config=SEARCH)
+        handle = scheduler.submit("seq", model, images, config=SEARCH)
+        scheduler.run()
+        job = handle.result()
+        assert job.solution == serial.solution
+        assert job.fitness == serial.fitness
+        assert job.history.best_fitness == serial.history.best_fitness
+        assert job.evaluations == serial.evaluations
         with pytest.raises(ValueError, match="job 'seq' cannot cross"):
-            scheduler.run()
+            encode_pool_wires({"seq": EvaluatorSpec(images=images,
+                                                    model=model)})
 
 
 _scalars = st.one_of(

@@ -47,6 +47,16 @@ class TestRegistry:
         with pytest.raises(ModuleNotFoundError):  # retried, not masked
             reg.resolve("anything")
 
+    def test_registered_name_resolves_without_bootstrap(self):
+        """A serial search resolves the ``serial`` shared pool, which
+        its own module registered on import; that lookup must not pay
+        for importing the socket transport the family also boots."""
+        reg = Registry("widget", bootstrap=("definitely_missing_mod_xyz",))
+        reg.register("a", 1)
+        assert reg.resolve("a") == 1
+        with pytest.raises(ModuleNotFoundError):
+            reg.resolve("b")
+
     def test_unknown_name_raises_actionable_keyerror(self):
         reg = Registry("widget")
         reg.register("a", 1)
