@@ -18,7 +18,8 @@ literal through the constructors in ``repro/spec/wire.py``) and inline
 ``{"type": "..."}`` dict literals inside the sender classes.  Handler
 arms are comparisons of a string literal against ``.get("type")`` (or a
 variable assigned from it, or the conventional ``kind`` dispatch
-variable).  Connection-scoped frames every peer may emit or ignore
+variable), and calls to a ``repro/spec/wire.py`` function that holds
+such an arm for a frame type (``hello_refusal``).  Connection-scoped frames every peer may emit or ignore
 (``ping``/``pong``/``bye``/``error``) are exempt from both directions.
 """
 
@@ -93,6 +94,20 @@ def _wire_constructors(wire: ModuleSource) -> dict[str, str]:
     return table
 
 
+def _wire_checkers(
+    wire: ModuleSource, frame_types: set[str]
+) -> dict[str, set[str]]:
+    """Wire-module function -> the frame types it has handler arms for;
+    a receiver calling it handles those types."""
+    table: dict[str, set[str]] = {}
+    for node in wire.tree.body:
+        if isinstance(node, ast.FunctionDef):
+            types = frame_types.intersection(_handled_types(node))
+            if types:
+                table[node.name] = types
+    return table
+
+
 def _find_class(module: ModuleSource, name: str) -> ast.ClassDef | None:
     for node in module.tree.body:
         if isinstance(node, ast.ClassDef) and node.name == name:
@@ -133,8 +148,9 @@ def _is_type_read(node: ast.AST, names: set[str]) -> bool:
     return isinstance(node, ast.Name) and node.id in names
 
 
-def _handled_types(cls: ast.ClassDef) -> dict[str, int]:
-    """Frame type -> a line where the class has a handler arm for it."""
+def _handled_types(cls: ast.AST, checkers=None) -> dict[str, int]:
+    """Frame type -> a line where the class (or function) has a handler
+    arm for it; a call to one of ``checkers`` counts as its arms."""
     names = set(_KIND_NAMES)
     # names assigned from `<msg>.get("type")` anywhere in the class
     for node in ast.walk(cls):
@@ -144,6 +160,9 @@ def _handled_types(cls: ast.ClassDef) -> dict[str, int]:
                     names.add(target.id)
     handled: dict[str, int] = {}
     for node in ast.walk(cls):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            for lit in sorted((checkers or {}).get(node.func.id, ())):
+                handled.setdefault(lit, node.lineno)
         if not isinstance(node, ast.Compare):
             continue
         operands = [node.left, *node.comparators]
@@ -178,6 +197,7 @@ class WireFrameCoverageRule(Rule):
         if wire is None:
             return
         constructors = _wire_constructors(wire)
+        checkers = _wire_checkers(wire, set(constructors.values()))
         for channel, sender_specs, receiver_specs in CHANNELS:
             sent: dict[str, tuple[ModuleSource, int]] = {}
             handled: dict[str, tuple[ModuleSource, int]] = {}
@@ -197,7 +217,7 @@ class WireFrameCoverageRule(Rule):
                         continue
                     types = (
                         _sent_types(cls, constructors)
-                        if extract else _handled_types(cls)
+                        if extract else _handled_types(cls, checkers)
                     )
                     for lit, line in types.items():
                         out.setdefault(lit, (module, line))

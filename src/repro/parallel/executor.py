@@ -25,7 +25,8 @@ after a fan-out.
 
 No search runs on these executors (:func:`repro.quant.lpq_quantize` is
 a one-job :class:`repro.serve.SearchScheduler`); the shared pools use
-this module's :class:`ExecutorConfig`, worker body and payload helper.
+this module's :class:`ExecutorConfig`, payload helper, process worker
+body and the replica table behind every worker body.
 """
 
 from __future__ import annotations
@@ -245,37 +246,93 @@ class SerialExecutor:
         pass
 
 
-# -- process workers ----------------------------------------------------
-# One worker body serves both process stacks: ProcessExecutor (a
-# one-job table) and repro.serve's SharedProcessPool (one entry per
-# scheduled job; every search runs there).  Worker state lives in
-# module globals: each worker receives the full job table once at init,
-# builds a replica lazily per job on its first task, and drops it when
-# a later task lists the job as finished.  A table entry is what
-# _worker_payload returns: a plain-JSON wire payload (repro.spec.wire)
-# or, for specs the wire codec rejects, the pickled EvaluatorSpec.  A job whose replica fails to decode or
-# build fails *its own* tasks (the error travels back inside the result
-# tuple); the worker survives and keeps serving other jobs.
-_SHARED_JOBS: dict | None = None
-_SHARED_STATE: dict[str, tuple] | None = None
-_SHARED_BLOBS = None
-_SHARED_BLOBS_ERROR: str | None = None
+# -- worker bodies ------------------------------------------------------
+# Every body that scores chunks -- the serial pool, the process workers
+# below, the socket worker and the remote pool's local fallback -- keeps
+# its jobs in one _ReplicaTable.  A payload is what _worker_payload
+# returns: a plain-JSON wire payload (repro.spec.wire), the pickled
+# EvaluatorSpec of a job the wire codec rejects, or (serial pool) the
+# live spec.  A job whose replica fails to decode or build fails *its
+# own* chunks (the error travels back inside the result tuple); the
+# worker survives and keeps serving other jobs.
 
 
-def _evaluate_with_entry(entry, solutions):
-    """Score a chunk on one job-replica entry; returns (fits, delta)."""
-    replica, registry, last_snap = entry
-    fits = replica.evaluate_many(solutions)
-    snap = registry.snapshot()
-    delta = diff_snapshots(snap, last_snap[0])
-    last_snap[0] = snap
-    return fits, delta
+class _ReplicaTable:
+    """Job → payload, plus each job's replica, built on its first chunk
+    with a private perf registry.
 
+    ``payloads`` is used as given, not copied.  ``blobs`` and ``fetch``
+    resolve a wire payload's blob refs (:func:`repro.spec.wire.decode_job`).
+    ``copies(job, spec)`` says whether a replica must copy the spec's
+    model; without it a replica owns what it decoded or unpickled.
+    """
 
-def _build_entry(spec: EvaluatorSpec, copy_model: bool):
-    registry = PerfRegistry()
-    replica = spec.build(perf=registry, copy_model=copy_model)
-    return (replica, registry, [registry.snapshot()])
+    def __init__(self, payloads: dict, blobs=None, fetch=None,
+                 copies=None) -> None:
+        self.payloads = payloads
+        #: job → [replica, its registry, the registry's last snapshot]
+        self.replicas: dict[str, list] = {}
+        self.blobs = blobs
+        self._fetch = fetch
+        self._copies = copies
+
+    def add(self, job: str, payload) -> None:
+        self.payloads[job] = payload
+
+    def release(self, job: str) -> None:
+        self.payloads.pop(job, None)
+        self.replicas.pop(job, None)
+
+    def keep(self, live) -> None:
+        """Release every job not in ``live``."""
+        for job in list(self.payloads) + list(self.replicas):
+            if job not in live:
+                self.release(job)
+
+    def _replica(self, job: str):
+        entry = self.replicas.get(job)
+        if entry is not None:
+            return entry
+        if job not in self.payloads:
+            raise RuntimeError(
+                f"job {job!r} was never registered on this worker"
+            )
+        try:
+            spec = self.payloads[job]
+            if isinstance(spec, dict):
+                from ..spec.wire import decode_job
+
+                spec = decode_job(spec, blobs=self.blobs, fetch=self._fetch)
+            copy = self._copies is not None and self._copies(job, spec)
+            registry = PerfRegistry()
+            replica = spec.build(perf=registry, copy_model=copy)
+            entry = [replica, registry, registry.snapshot()]
+        except Exception as exc:
+            raise RuntimeError(
+                f"evaluator replica for job {job!r} failed to "
+                "initialize in worker"
+            ) from exc
+        self.replicas[job] = entry
+        return entry
+
+    def run(self, job: str, solutions):
+        """Score ``solutions`` on ``job``'s replica; returns ``(fits,
+        perf delta, elapsed seconds, error)``, where ``error`` is
+        ``None`` or the failure's traceback and the other two are then
+        ``None``."""
+        start = time.perf_counter()
+        try:
+            entry = self._replica(job)
+            fits = entry[0].evaluate_many(solutions)
+            snap = entry[1].snapshot()
+            delta = diff_snapshots(snap, entry[2])
+            entry[2] = snap
+            return fits, delta, time.perf_counter() - start, None
+        except Exception:  # lint: disable=broad-except -- worker boundary: failures travel home as error tuples
+            return (
+                None, None, time.perf_counter() - start,
+                traceback.format_exc(),
+            )
 
 
 def _worker_payload(spec: EvaluatorSpec, search=None, blobs=None):
@@ -291,36 +348,30 @@ def _worker_payload(spec: EvaluatorSpec, search=None, blobs=None):
         return spec
 
 
+# One process worker body serves both process stacks: ProcessExecutor
+# (a one-job table) and repro.serve's SharedProcessPool (one entry per
+# scheduled job; every search runs there).  Each worker receives the
+# full job table once at init; a job added later rides with its tasks.
+_WORKER_TABLE = _ReplicaTable({})
+_WORKER_BLOBS_ERROR: str | None = None
+
+
 def _init_shared_worker(jobs: dict, blob_table: dict | None = None) -> None:
-    global _SHARED_JOBS, _SHARED_STATE, _SHARED_BLOBS, _SHARED_BLOBS_ERROR
+    global _WORKER_TABLE, _WORKER_BLOBS_ERROR
     # plain assignments first: a raising initializer would respawn
     # workers forever, so payload decoding and replica construction are
     # deferred to the first task per job, and a blob-table attach
     # failure is parked for the task to report
-    _SHARED_JOBS = jobs
-    _SHARED_STATE = {}
-    _SHARED_BLOBS = None
-    _SHARED_BLOBS_ERROR = None
+    _WORKER_TABLE = _ReplicaTable(jobs)
+    _WORKER_BLOBS_ERROR = None
     one_blas_thread()
     if blob_table:
         try:
             from ..spec.blob import attach_transport_table
 
-            _SHARED_BLOBS = attach_transport_table(blob_table)
+            _WORKER_TABLE.blobs = attach_transport_table(blob_table)
         except Exception:  # lint: disable=broad-except -- init failure is parked and re-raised with the first task
-            _SHARED_BLOBS_ERROR = traceback.format_exc()
-
-
-def _register_shared_job(job: str, wire: dict, blob_table) -> None:
-    """Take a job that joined the pool after this worker started: its
-    wire payload, plus the blobs it references."""
-    global _SHARED_BLOBS
-    _SHARED_JOBS[job] = wire
-    if blob_table:
-        from ..spec.blob import attach_transport_table
-
-        _SHARED_BLOBS = attach_transport_table(blob_table,
-                                               store=_SHARED_BLOBS)
+            _WORKER_BLOBS_ERROR = traceback.format_exc()
 
 
 def _evaluate_shared_chunk(job: str, solutions, live=None, added=None):
@@ -330,43 +381,23 @@ def _evaluate_shared_chunk(job: str, solutions, live=None, added=None):
     drop the replica and payload of every other job; ``added`` is the
     ``(wire, blob table)`` of a job that joined the pool after start.
     """
-    start = time.perf_counter()
-    try:
-        if _SHARED_STATE is None or _SHARED_JOBS is None:
-            raise RuntimeError("shared pool worker not initialized")
-        if live is not None:
-            for table in (_SHARED_STATE, _SHARED_JOBS):
-                for name in [name for name in table if name not in live]:
-                    del table[name]
-        if added is not None and job not in _SHARED_JOBS:
-            _register_shared_job(job, *added)
-        if _SHARED_BLOBS_ERROR is not None:
-            raise RuntimeError(
-                "shared pool worker could not attach its blob table:\n"
-                f"{_SHARED_BLOBS_ERROR}"
-            )
-        entry = _SHARED_STATE.get(job)
-        if entry is None:
-            spec = _SHARED_JOBS[job]
-            try:
-                if isinstance(spec, dict):
-                    from ..spec.wire import decode_job
+    table = _WORKER_TABLE
+    if live is not None:
+        table.keep(live)
+    if added is not None and job not in table.payloads:
+        wire, blob_table = added
+        table.add(job, wire)
+        if blob_table:
+            from ..spec.blob import attach_transport_table
 
-                    spec = decode_job(spec, blobs=_SHARED_BLOBS)
-                # the worker owns everything it decodes or unpickles
-                entry = _build_entry(spec, copy_model=False)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"evaluator replica for job {job!r} failed to "
-                    "initialize in worker"
-                ) from exc
-            _SHARED_STATE[job] = entry
-        fits, delta = _evaluate_with_entry(entry, solutions)
-        return fits, delta, time.perf_counter() - start, None
-    except Exception:  # lint: disable=broad-except -- worker boundary: failures travel home as error tuples
-        return (
-            None, None, time.perf_counter() - start, traceback.format_exc()
+            table.blobs = attach_transport_table(blob_table,
+                                                 store=table.blobs)
+    if _WORKER_BLOBS_ERROR is not None:
+        return None, None, 0.0, (
+            "shared pool worker could not attach its blob table:\n"
+            f"{_WORKER_BLOBS_ERROR}"
         )
+    return table.run(job, solutions)
 
 
 class ProcessExecutor:

@@ -26,7 +26,7 @@ thread.  Backends register in the ``shared_pool`` component registry
   job; submit evaluates synchronously.  The zero-overhead baseline,
   and what :func:`repro.quant.lpq_quantize` (a one-job scheduler) runs
   by default: a replica scores the job's model instance itself unless
-  it cannot own it (see :meth:`SharedSerialPool.submit`).
+  it cannot own it (see :class:`SharedSerialPool`).
 * ``process`` — :class:`SharedProcessPool`: a
   :class:`multiprocessing.pool.Pool` whose workers receive the full
   ``job → payload`` map at init (a job added later rides with its
@@ -55,16 +55,13 @@ from __future__ import annotations
 import abc
 import multiprocessing
 import queue
-import time
-import traceback
 from dataclasses import dataclass
 
 from ..parallel import EvaluatorSpec, ExecutorConfig
 from ..parallel.executor import (
-    _build_entry,
     _evaluate_shared_chunk,
-    _evaluate_with_entry,
     _init_shared_worker,
+    _ReplicaTable,
     _worker_payload,
 )
 from ..spec import registry as spec_registry
@@ -188,44 +185,30 @@ class SharedSerialPool(WorkerPool):
         self, specs: dict[str, EvaluatorSpec], results: queue.SimpleQueue
     ) -> None:
         self.workers = 1
-        self._specs = dict(specs)
         self._results = results
-        self._replicas: dict[str, tuple] = {}
+        self._table = _ReplicaTable(dict(specs), copies=self._copies)
+
+    def _copies(self, job: str, spec: EvaluatorSpec) -> bool:
+        # a job that joins later may load its own state dict into a
+        # shared instance, so a stateful job copies too
+        return spec.model is not None and (
+            spec.state is not None or any(
+                other.model is spec.model
+                for name, other in self._table.payloads.items()
+                if name != job
+            )
+        )
 
     def submit(self, job: str, seq: int, chunk: int, solutions) -> None:
-        start = time.perf_counter()
-        try:
-            entry = self._replicas.get(job)
-            if entry is None:
-                # a job that joins later may load its own state dict
-                # into a shared instance, so a stateful job copies too
-                spec = self._specs[job]
-                shared = spec.model is not None and (
-                    spec.state is not None or any(
-                        other.model is spec.model
-                        for name, other in self._specs.items()
-                        if name != job
-                    )
-                )
-                entry = _build_entry(spec, copy_model=shared)
-                self._replicas[job] = entry
-            fits, delta = _evaluate_with_entry(entry, solutions)
-            result = ChunkResult(
-                job, seq, chunk, fits, delta, time.perf_counter() - start
-            )
-        except Exception:  # lint: disable=broad-except -- worker boundary: any evaluation failure becomes an error ChunkResult
-            result = ChunkResult(
-                job, seq, chunk, None, None, time.perf_counter() - start,
-                error=traceback.format_exc(),
-            )
-        self._results.put(result)
+        self._results.put(
+            ChunkResult(job, seq, chunk, *self._table.run(job, solutions))
+        )
 
     def add(self, job: str, spec: EvaluatorSpec, search=None) -> None:
-        self._specs[job] = spec
+        self._table.add(job, spec)
 
     def release(self, job: str) -> None:
-        self._specs.pop(job, None)
-        self._replicas.pop(job, None)
+        self._table.release(job)
 
     def close(self) -> None:
         pass
@@ -297,10 +280,7 @@ class SharedProcessPool(WorkerPool):
 
     def submit(self, job: str, seq: int, chunk: int, solutions) -> None:
         def on_done(payload, job=job, seq=seq, chunk=chunk):
-            fits, delta, elapsed, error = payload
-            self._results.put(
-                ChunkResult(job, seq, chunk, fits, delta, elapsed, error)
-            )
+            self._results.put(ChunkResult(job, seq, chunk, *payload))
 
         def on_error(exc, job=job, seq=seq, chunk=chunk):
             # belt and braces: task exceptions are already caught inside

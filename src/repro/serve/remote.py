@@ -54,38 +54,35 @@ True
 from __future__ import annotations
 
 import contextlib
-import hmac
 import itertools
 import queue
 import socket
 import threading
 import time
-import traceback
 import warnings
 
 from ..obs import MetricsEmitter, get_hub
 from ..parallel import EvaluatorSpec, ExecutorConfig, parse_address
 from ..parallel._blas import one_blas_thread
 from ..parallel._fingerprint import numerics_fingerprint
-from ..parallel.executor import _build_entry, _evaluate_with_entry
+from ..parallel.executor import _ReplicaTable
 from ..perf import PerfRegistry
 from ..spec import registry as spec_registry
 from ..spec.blob import BlobStore, get_blob_store
 from ..spec.wire import (
+    _BAD_TOKEN,
     FINGERPRINT_MISMATCH,
-    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    WIRE_VERSION,
     FrameCorruptionError,
     blob_get_message,
     blob_put_message,
     collect_blob_refs,
-    decode_job,
     decode_solution,
     draining_message,
     error_message,
     frame_message,
     hello_message,
+    hello_refusal,
     job_message,
     metrics_message,
     read_frame,
@@ -156,8 +153,8 @@ class _WorkerSession(threading.Thread):
         self.peer = peer
         self._send_lock = threading.Lock()
         self._tasks: queue.SimpleQueue = queue.SimpleQueue()
-        self._wires: dict[str, dict] = {}
-        self._entries: dict[str, tuple] = {}
+        self._table = _ReplicaTable({}, blobs=server.blobs,
+                                    fetch=self._fetch_blob)
         self._blob_lock = threading.Lock()
         #: digest → set by the reader thread when its blob_put arrives;
         #: the evaluator thread waits on these for fetch-on-miss
@@ -211,44 +208,22 @@ class _WorkerSession(threading.Thread):
             self.server._session_done(self)
 
     def _handshake(self, rfile) -> bool:
-        message = read_frame(rfile, self.server.max_frame)
-        if message is None or message.get("type") != "hello":
-            self._send(error_message("expected hello frame"))
-            return False
-        if message.get("protocol") != PROTOCOL_VERSION:
-            self._send(error_message(
-                f"protocol version mismatch: client speaks "
-                f"{message.get('protocol')!r}, worker speaks "
-                f"{PROTOCOL_VERSION}; upgrade the older build"
-            ))
-            self.server._log(
-                f"refused {self.peer}: protocol "
-                f"{message.get('protocol')!r} != {PROTOCOL_VERSION}"
-            )
-            return False
-        if message.get("version") != WIRE_VERSION:
-            self._send(error_message(
-                f"unsupported wire version {message.get('version')!r} "
-                f"(worker speaks {WIRE_VERSION})"
-            ))
-            return False
-        if not self.server._token_ok(message.get("token")):
+        message = read_frame(rfile)
+        refusal = hello_refusal(message, self.server.token, "worker")
+        if refusal == _BAD_TOKEN:
             self.server.auth_failures += 1
-            self._send(error_message("bad auth token"))
-            self.server._log(f"refused {self.peer}: bad auth token")
-            return False
         fingerprint = numerics_fingerprint()
-        if message.get("fingerprint") != fingerprint:
-            self._send(error_message(
+        reason = None
+        if refusal is None and message.get("fingerprint") != fingerprint:
+            refusal = (
                 f"numerics fingerprint mismatch: client "
                 f"{message.get('fingerprint')!r}, worker {fingerprint!r}; "
-                "the worker would not reproduce the client's bits",
-                reason=FINGERPRINT_MISMATCH,
-            ))
-            self.server._log(
-                f"refused {self.peer}: numerics fingerprint "
-                f"{message.get('fingerprint')!r} != {fingerprint!r}"
+                "the worker would not reproduce the client's bits"
             )
+            reason = FINGERPRINT_MISMATCH
+        if refusal is not None:
+            self._send(error_message(refusal, reason=reason))
+            self.server._log(f"refused {self.peer}: {refusal}")
             return False
         data = frame_message(welcome_message(capacity=1,
                                              fingerprint=fingerprint))
@@ -262,14 +237,14 @@ class _WorkerSession(threading.Thread):
 
     def _read_loop(self, rfile) -> None:
         while not self._closed:
-            message = read_frame(rfile, self.server.max_frame)
+            message = read_frame(rfile)
             if message is None:
                 return  # clean EOF: client went away
             if self.muted:
                 continue  # hung-host simulation: read, never react
             kind = message.get("type")
             if kind == "job":
-                self._wires[message["job"]] = message["payload"]
+                self._table.add(message["job"], message["payload"])
                 self._request_job_blobs(message["payload"])
             elif kind == "blob_put":
                 self._receive_blob(message)
@@ -345,8 +320,7 @@ class _WorkerSession(threading.Thread):
                 self.close()
                 return
             if message["type"] == "release":
-                self._entries.pop(message["job"], None)
-                self._wires.pop(message["job"], None)
+                self._table.release(message["job"])
                 continue
             self.server._task_started()
             chaos = self.server.chaos
@@ -364,42 +338,22 @@ class _WorkerSession(threading.Thread):
                 return  # client gone; the pool requeues this chunk
 
     def _evaluate(self, message: dict) -> dict:
-        task, job = message["task"], message["job"]
-        seq, chunk = message["seq"], message["chunk"]
-        start = time.perf_counter()
-        try:
-            entry = self._entries.get(job)
-            if entry is None:
-                wire = self._wires.get(job)
-                if wire is None:
-                    raise RuntimeError(
-                        f"job {job!r} was never registered on this worker"
-                    )
-                entry = _build_entry(
-                    decode_job(wire, blobs=self.server.blobs,
-                               fetch=self._fetch_blob),
-                    copy_model=False,
-                )
-                self._entries[job] = entry
-            solutions = [decode_solution(rows)
-                         for rows in message["solutions"]]
-            fits, delta = _evaluate_with_entry(entry, solutions)
-            # telemetry only: fold the same delta the client will merge
-            # into the worker's own registry, so the live metrics stream
-            # reconciles with the end-of-job snapshot.  The result frame
-            # is built before the accounting touches anything.
-            reply = result_message(
-                task, job, seq, chunk, fits, delta,
-                time.perf_counter() - start,
-            )
-            self.server._task_done(delta, len(solutions))
-            return reply
-        except Exception:  # lint: disable=broad-except -- worker boundary: any evaluation failure becomes an error result frame
-            self.server._task_done(None, 0)
-            return result_message(
-                task, job, seq, chunk, None, None,
-                time.perf_counter() - start, error=traceback.format_exc(),
-            )
+        job = message["job"]
+        # decoded lazily inside run: a malformed candidate fails this
+        # chunk like any other evaluation error
+        fits, delta, elapsed, error = self._table.run(
+            job, map(decode_solution, message["solutions"])
+        )
+        # telemetry only: fold the same delta the client will merge
+        # into the worker's own registry, so the live metrics stream
+        # reconciles with the end-of-job snapshot.  The result frame
+        # is built before the accounting touches anything.
+        reply = result_message(
+            message["task"], job, message["seq"], message["chunk"], fits,
+            delta, elapsed, error=error,
+        )
+        self.server._task_done(delta, len(fits or ()))
+        return reply
 
 
 class WorkerServer:
@@ -432,7 +386,6 @@ class WorkerServer:
         host: str = "127.0.0.1",
         port: int = 0,
         token: str | None = None,
-        max_frame: int = MAX_FRAME_BYTES,
         verbose: bool = False,
         blob_cache=None,
         metrics_interval: float = 0.0,
@@ -441,7 +394,6 @@ class WorkerServer:
         self.host = host
         self.port = port
         self.token = token
-        self.max_frame = max_frame
         self.verbose = verbose
         self.blobs = BlobStore(cache_dir=blob_cache)
         #: worker-level telemetry registry — private by default so an
@@ -592,7 +544,7 @@ class WorkerServer:
         with self._lock:
             sessions = list(self._sessions)
         for session in sessions:
-            session._entries.clear()
+            session._table.replicas.clear()
 
     def silence(self) -> None:
         """Go silent without closing anything (tests): every session
@@ -616,13 +568,6 @@ class WorkerServer:
         self.stop()
 
     # -- session callbacks ----------------------------------------------
-    def _token_ok(self, token) -> bool:
-        if self.token is None:
-            return True
-        return isinstance(token, str) and hmac.compare_digest(
-            token, self.token
-        )
-
     def _task_received(self) -> None:
         with self._lock:
             self.tasks_received += 1
@@ -817,12 +762,11 @@ class SharedRemotePool(WorkerPool):
     rest of the fleet, and with every address refused, to the local
     fallback evaluator whatever ``on_fleet_death`` says.
 
-    **Elasticity.**  The fleet is not static: dead addresses are
-    re-dialed on the same deterministic backoff, so a restarted worker
-    rejoins mid-search and immediately receives a rebalanced share of
-    the in-flight load; :meth:`add_worker` / :meth:`remove_worker`
-    grow and shrink the fleet at runtime; a worker announcing a drain
-    (SIGTERM) finishes its chunks but is handed nothing new.  A chunk
+    **Elasticity.**  The fleet is the configured addresses: dead ones
+    are re-dialed on the same deterministic backoff, so a restarted
+    worker rejoins mid-search and immediately receives a rebalanced
+    share of the in-flight load; a worker announcing a drain (SIGTERM)
+    finishes its chunks but is handed nothing new.  A chunk
     whose workers keep dying under it (a *poison chunk*) is quarantined
     after ``retry.max_attempts`` requeues and evaluated locally,
     flagged by the ``fault.quarantines`` counter, instead of cascading
@@ -836,7 +780,6 @@ class SharedRemotePool(WorkerPool):
         addresses,
         results: queue.SimpleQueue,
         token: str | None = None,
-        connect_timeout: float = HANDSHAKE_TIMEOUT_S,
         heartbeat_s: float = HEARTBEAT_S,
         liveness_timeout_s: float | None = None,
         blobs: BlobStore | None = None,
@@ -851,7 +794,10 @@ class SharedRemotePool(WorkerPool):
                 f"on_fleet_death must be 'fail' or 'local', got "
                 f"{on_fleet_death!r}"
             )
-        self.wires = dict(wires)
+        #: job → wire payload; the local fallback evaluator's table
+        #: holds the same dict
+        self._fallback = _ReplicaTable(dict(wires), blobs=blobs)
+        self.wires = self._fallback.payloads
         self.addresses = [str(a) for a in addresses]
         self.token = token
         self.retry = retry if retry is not None else RetryPolicy()
@@ -871,7 +817,6 @@ class SharedRemotePool(WorkerPool):
 
             perf = get_perf()
         self.perf = perf
-        self.connect_timeout = connect_timeout
         self.heartbeat_s = heartbeat_s
         # a worker that has sent nothing — results, pongs, anything —
         # for this long is declared dead even though its socket never
@@ -972,8 +917,9 @@ class SharedRemotePool(WorkerPool):
 
     def release(self, job: str) -> None:
         with self._lock:
-            if self.wires.pop(job, None) is None:
+            if job not in self.wires:
                 return
+            self._fallback.release(job)
             targets = [w for w in self._workers if w.alive]
             for worker in targets:
                 worker.jobs.discard(job)
@@ -1037,50 +983,6 @@ class SharedRemotePool(WorkerPool):
                 RuntimeWarning, stacklevel=2,
             )
 
-    # -- elastic membership ----------------------------------------------
-    def add_worker(self, address: str) -> bool:
-        """Grow the fleet at runtime: dial ``address``, register the
-        full job table, and rebalance in-flight load onto the joiner.
-
-        Returns ``True`` on an immediate join; ``False`` if the worker
-        is not reachable *yet* — the address is then kept on the redial
-        schedule, so a worker that comes up later joins on its own.
-        """
-        address = str(address)
-        parse_address(address)
-        with self._lock:
-            if address not in self.addresses:
-                self.addresses.append(address)
-        try:
-            worker = self._connect(address)
-        except _FingerprintMismatch as exc:
-            self._refuse(address, exc)
-            return False
-        except ConnectionError:
-            with self._lock:
-                self._redial.setdefault(address, [0, 0.0])
-            return False
-        self._admit(worker, rejoin=False)
-        return True
-
-    def remove_worker(self, address: str) -> None:
-        """Shrink the fleet at runtime: retire every connection to
-        ``address`` (its in-flight chunks are requeued onto the rest of
-        the fleet) and stop re-dialing it."""
-        address = str(address)
-        with self._lock:
-            if address in self.addresses:
-                self.addresses.remove(address)
-            self._redial.pop(address, None)
-            targets = [
-                w for w in self._workers
-                if w.address == address and w.alive
-            ]
-        for worker in targets:
-            with contextlib.suppress(OSError, ValueError):
-                worker.send({"type": "bye"})
-            self._worker_died(worker)
-
     def _refuse(self, address: str, exc: _FingerprintMismatch) -> None:
         """Retire ``address`` for good: its worker would not reproduce
         this process's bits.  The rest of the fleet takes its chunks;
@@ -1098,9 +1000,9 @@ class SharedRemotePool(WorkerPool):
         if fleet_gone:
             self._flush_parked()
 
-    def _admit(self, worker: _RemoteWorker, rejoin: bool) -> None:
-        """Install a freshly-connected worker: register the jobs added
-        (and release those dropped) since it connected, replace any dead
+    def _admit(self, worker: _RemoteWorker) -> None:
+        """Install a re-dialed worker: register the jobs added (and
+        release those dropped) since it connected, replace the dead
         record for its address, release parked chunks, rebalance load."""
         while True:
             with self._lock:
@@ -1125,8 +1027,7 @@ class SharedRemotePool(WorkerPool):
             except (OSError, ValueError):
                 worker.drop()
                 return
-        if rejoin:
-            self.perf.counter("fault.rejoins").inc()
+        self.perf.counter("fault.rejoins").inc()
         self._flush_parked()
         self._rebalance(worker)
 
@@ -1138,7 +1039,7 @@ class SharedRemotePool(WorkerPool):
         )
         try:
             sock = socket.create_connection(
-                (host, port), timeout=self.connect_timeout
+                (host, port), timeout=HANDSHAKE_TIMEOUT_S
             )
         except OSError as exc:
             raise ConnectionError(
@@ -1313,7 +1214,7 @@ class SharedRemotePool(WorkerPool):
                     state[0], key=address
                 )
                 continue
-            self._admit(worker, rejoin=True)
+            self._admit(worker)
 
     def _check_parked(self, now: float) -> None:
         """Release parked chunks once a worker is back, or fail them
@@ -1606,33 +1507,16 @@ class SharedRemotePool(WorkerPool):
         self._local_queue.put(entry)
 
     def _local_loop(self) -> None:
-        entries: dict[str, tuple] = {}
         while True:
             entry = self._local_queue.get()
             if entry is None:
                 return
-            for job in [job for job in entries if job not in self.wires]:
-                del entries[job]  # released: the job is finished
-            start = time.perf_counter()
-            try:
-                built = entries.get(entry.job)
-                if built is None:
-                    built = _build_entry(
-                        decode_job(self.wires[entry.job], blobs=self._blobs),
-                        copy_model=False,
-                    )
-                    entries[entry.job] = built
-                fits, delta = _evaluate_with_entry(built, entry.solutions)
-                result = ChunkResult(
-                    entry.job, entry.seq, entry.chunk, fits, delta,
-                    time.perf_counter() - start,
-                )
-            except Exception:  # lint: disable=broad-except -- local-fallback boundary: failures become error ChunkResults
-                result = ChunkResult(
-                    entry.job, entry.seq, entry.chunk, None, None,
-                    time.perf_counter() - start,
-                    error=traceback.format_exc(),
-                )
+            # drop a replica built while its job was being released
+            self._fallback.keep(self.wires)
+            result = ChunkResult(
+                entry.job, entry.seq, entry.chunk,
+                *self._fallback.run(entry.job, entry.solutions),
+            )
             with self._lock:
                 delivered = self._pending.pop(entry.task, None)
             if delivered is not None:

@@ -62,6 +62,9 @@ __all__ = ["SearchHandle", "SearchScheduler"]
 #: sentinel objective name meaning "the paper's FitnessEvaluator"
 _DEFAULT_OBJECTIVE = "global_local_contrastive"
 
+#: weight of the newest chunk in a job's per-candidate cost estimate
+COST_EWMA = 0.5
+
 
 class SearchHandle:
     """Per-job future returned by :meth:`SearchScheduler.submit`.
@@ -262,7 +265,6 @@ class SearchScheduler:
         self,
         executor: ExecutorConfig | None = None,
         target_chunk_s: float = 0.25,
-        cost_ewma: float = 0.5,
         perf=None,
         on_batch=None,
         on_finished=None,
@@ -273,11 +275,8 @@ class SearchScheduler:
             raise ValueError("target_chunk_s must be positive")
         if max_active_jobs is not None and max_active_jobs < 1:
             raise ValueError("max_active_jobs must be at least 1")
-        if not 0.0 < cost_ewma <= 1.0:
-            raise ValueError("cost_ewma must be in (0, 1]")
         self.executor_config = executor or ExecutorConfig()
         self.target_chunk_s = target_chunk_s
-        self.cost_ewma = cost_ewma
         self.max_active_jobs = max_active_jobs
         self.perf = perf if perf is not None else get_perf()
         #: progress hook — called as ``on_batch(name, info)`` after each
@@ -693,8 +692,8 @@ class SearchScheduler:
         if st.cost_est is None:
             st.cost_est = per_candidate
         else:
-            a = self.cost_ewma
-            st.cost_est = a * per_candidate + (1.0 - a) * st.cost_est
+            st.cost_est = (COST_EWMA * per_candidate
+                           + (1.0 - COST_EWMA) * st.cost_est)
 
     def _emit_batch(self, st: _JobState) -> None:
         """Fire the ``on_batch`` progress hook for one evaluated batch

@@ -52,15 +52,13 @@ from ..parallel.executor import parse_address
 from ..perf import get_perf
 from ..spec.spec import SearchSpec
 from ..spec.wire import (
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
     SERVER_OPS,
-    WIRE_VERSION,
     error_message,
     event_message,
     fleet_status_message,
     frame_message,
     hello_message,
+    hello_refusal,
     metrics_message,
     read_frame,
     reply_message,
@@ -74,6 +72,10 @@ from .store import Journal, ResultStore, result_record
 __all__ = ["SearchServer", "SearchClient", "ServerError"]
 
 HANDSHAKE_TIMEOUT_S = 10.0
+
+#: a restart that replays at least this many journal records compacts
+#: the journal
+COMPACT_AT = 50_000
 
 #: job lifecycle: queued → running → done | failed | cancelled
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
@@ -186,26 +188,11 @@ class _ServerSession(threading.Thread):
             self.server._session_done(self)
 
     def _handshake(self, rfile) -> bool:
-        message = read_frame(rfile, self.server.max_frame)
-        if message is None or message.get("type") != "hello":
-            self._send_now(error_message("expected hello frame"))
-            return False
-        if message.get("protocol") != PROTOCOL_VERSION:
-            self._send_now(error_message(
-                f"protocol version mismatch: client speaks "
-                f"{message.get('protocol')!r}, server speaks "
-                f"{PROTOCOL_VERSION}; upgrade the older build"
-            ))
-            return False
-        if message.get("version") != WIRE_VERSION:
-            self._send_now(error_message(
-                f"unsupported wire version {message.get('version')!r} "
-                f"(server speaks {WIRE_VERSION})"
-            ))
-            return False
-        if not self.server._token_ok(message.get("token")):
-            self._send_now(error_message("bad auth token"))
-            self.server._log(f"refused {self.peer}: bad auth token")
+        refusal = hello_refusal(read_frame(rfile), self.server.token,
+                                "server")
+        if refusal is not None:
+            self._send_now(error_message(refusal))
+            self.server._log(f"refused {self.peer}: {refusal}")
             return False
         self._send_now(welcome_message(capacity=1))
         self.server._log(f"accepted {self.peer}")
@@ -217,7 +204,7 @@ class _ServerSession(threading.Thread):
 
     def _read_loop(self, rfile) -> None:
         while not self._closed:
-            message = read_frame(rfile, self.server.max_frame)
+            message = read_frame(rfile)
             if message is None:
                 return  # clean EOF: client went away
             kind = message.get("type")
@@ -330,10 +317,8 @@ class SearchServer:
         target_chunk_s: float = 0.25,
         max_jobs_per_round: int = 0,
         verbose: bool = False,
-        max_frame: int = MAX_FRAME_BYTES,
         perf=None,
         crash_hook=None,
-        compact_at: int = 50_000,
         metrics_interval: float = 0.0,
         timeseries=None,
     ) -> None:
@@ -347,13 +332,11 @@ class SearchServer:
         self.data_dir = Path(data_dir)
         self.executor_config = executor or ExecutorConfig()
         self.verbose = verbose
-        self.max_frame = max_frame
         self.perf = perf if perf is not None else get_perf()
         #: test knob: ``crash_hook(server, job, info)`` runs at every
         #: batch boundary; returning true simulates a SIGKILL there —
         #: the runner halts instantly and journals nothing further
         self.crash_hook = crash_hook
-        self.compact_at = compact_at
         #: lifetime counters: jobs actually evaluated here, jobs served
         #: from the digest store, interrupted jobs re-queued at startup
         self.stats = {"executed": 0, "replayed": 0, "recovered": 0}
@@ -557,7 +540,7 @@ class SearchServer:
             self._jobs[name] = job
             if job.state not in ("failed", "cancelled"):
                 self._by_digest[job.digest] = name
-        if len(records) >= self.compact_at:
+        if len(records) >= COMPACT_AT:
             dropped = self.journal.compact()
             self._log(f"compacted journal: dropped {dropped} records")
         if self._jobs:
@@ -921,15 +904,6 @@ class SearchServer:
             for subscribers in self._subs.values():
                 subscribers.discard(session)
 
-    def _token_ok(self, token) -> bool:
-        if self.token is None:
-            return True
-        import hmac
-
-        return isinstance(token, str) and hmac.compare_digest(
-            token, self.token
-        )
-
     def _log(self, message: str) -> None:
         if self.verbose:
             print(f"[serve {self.host}:{self.port}] {message}",
@@ -949,11 +923,9 @@ class SearchClient:
     """
 
     def __init__(self, address: str, token: str | None = None,
-                 connect_timeout: float = 10.0,
                  reconnect_s: float = 60.0) -> None:
         self.address = address
         self.token = token
-        self.connect_timeout = connect_timeout
         #: how long :meth:`wait` keeps redialing a vanished server
         #: before giving up (a restarting daemon is back within this)
         self.reconnect_s = reconnect_s
@@ -971,7 +943,7 @@ class SearchClient:
         host, port = parse_address(self.address)
         try:
             sock = socket.create_connection(
-                (host, port), timeout=self.connect_timeout
+                (host, port), timeout=HANDSHAKE_TIMEOUT_S
             )
         except OSError as exc:
             raise ConnectionError(

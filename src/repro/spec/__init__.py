@@ -1,6 +1,6 @@
 """Declarative search specs: every experiment a named, serializable object.
 
-The public surface has three pieces:
+The public surface has two pieces:
 
 * :mod:`repro.spec.registry` — one :class:`~repro.spec.registry.Registry`
   per pluggable component family (objectives, format families/parsers,
@@ -10,10 +10,8 @@ The public surface has three pieces:
   truth for launching an LPQ search: model ref, calibration descriptor,
   search/fitness configs, objective, executor, seed.  Round-trips
   through plain JSON bitwise-faithfully (``to_dict``/``from_dict``,
-  ``dump``/``load``).
-* :func:`run_search` — convenience alias: resolve a spec and run it
-  through :func:`repro.quant.lpq_quantize`, which both call styles and
-  ``scripts/run_search.py`` share.
+  ``dump``/``load``).  :func:`repro.quant.lpq_quantize` runs one
+  (``lpq_quantize(spec=...)``, as ``scripts/run_search.py`` does).
 
 The legacy keyword APIs (:func:`repro.quant.lpq_quantize` and friends)
 are thin shims that *construct* a spec, so both paths share one
@@ -40,7 +38,6 @@ _LAZY = {
     "reset_blob_store": "blob",
     "resolve_calib": "spec",
     "resolve_model": "spec",
-    "run_search": "spec",
 }
 
 __all__ = ["registry", *sorted(_LAZY)]

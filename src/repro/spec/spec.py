@@ -53,7 +53,6 @@ __all__ = [
     "reject_spec_conflicts",
     "resolve_calib",
     "resolve_model",
-    "run_search",
 ]
 
 #: wire-format version stamped into every serialized spec
@@ -331,16 +330,3 @@ class SearchSpec:
                 "inline SearchSpec carries no calibration descriptor"
             )
         return self.calib.build()
-
-
-def run_search(spec: SearchSpec):
-    """Resolve ``spec`` and run the full LPQ pipeline on it.
-
-    Returns the :class:`~repro.quant.LPQResult`.  A convenience alias
-    for ``lpq_quantize(spec=spec)`` — the functional entry point for
-    callers holding only a spec (the engine itself is
-    :func:`repro.quant.ptq._run_spec`).
-    """
-    from ..quant.ptq import lpq_quantize
-
-    return lpq_quantize(spec=spec)

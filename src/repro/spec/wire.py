@@ -55,6 +55,7 @@ so both ends of the socket agree on one schema:
 
 from __future__ import annotations
 
+import hmac
 import importlib
 import inspect
 import json
@@ -162,7 +163,7 @@ class FrameTooLargeError(FrameCorruptionError):
     A subclass of :class:`FrameCorruptionError` (and therefore
     ``ValueError``): every drop-the-connection handler still fires, but
     callers that care — e.g. a server deciding whether to advise a
-    bigger ``max_frame`` instead of suspecting stream corruption — can
+    bigger frame limit instead of suspecting stream corruption — can
     distinguish an oversized frame from a failed checksum.
     """
 
@@ -289,6 +290,36 @@ def hello_message(token: str | None = None,
         "token": token,
         "fingerprint": fingerprint,
     }
+
+
+#: the refusal a hello frame with the wrong auth token gets
+_BAD_TOKEN = "bad auth token"
+
+
+def hello_refusal(message: dict | None, token: str | None,
+                  role: str) -> str | None:
+    """Why a ``role`` ("worker" or "server") expecting ``token`` refuses
+    the handshake opener ``message``, or ``None`` to accept it: the
+    frame type, the protocol and wire versions, then the token."""
+    if message is None or message.get("type") != "hello":
+        return "expected hello frame"
+    if message.get("protocol") != PROTOCOL_VERSION:
+        return (
+            f"protocol version mismatch: client speaks "
+            f"{message.get('protocol')!r}, {role} speaks "
+            f"{PROTOCOL_VERSION}; upgrade the older build"
+        )
+    if message.get("version") != WIRE_VERSION:
+        return (
+            f"unsupported wire version {message.get('version')!r} "
+            f"({role} speaks {WIRE_VERSION})"
+        )
+    sent = message.get("token")
+    if token is not None and not (
+        isinstance(sent, str) and hmac.compare_digest(sent, token)
+    ):
+        return _BAD_TOKEN
+    return None
 
 
 def welcome_message(capacity: int = 1,

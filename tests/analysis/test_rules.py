@@ -139,6 +139,41 @@ def test_wire_connection_frames_exempt(tmp_path):
     assert run_rule(WireFrameCoverageRule(), tmp_path, wire_tree(good)) == []
 
 
+def test_wire_handler_arm_inside_a_wire_helper(tmp_path):
+    """A receiver that calls a wire.py helper holding the arm for a
+    frame type handles that type; without the call it is an orphan."""
+    good = REMOTE_BAD.replace(
+        '        conn.send({"type": "cancel"})\n', ""
+    ).replace(
+        '        if kind == "shutdown":\n            return None\n',
+        "        return hello_refusal(msg)\n",
+    ).replace(
+        "conn.send(task_message(payload))",
+        "conn.send(task_message(payload))\n        conn.send(hello_message())",
+    )
+    tree = wire_tree(good)
+    tree["src/repro/spec/wire.py"] = WIRE_PY + '''
+
+def hello_message():
+    return {"type": "hello"}
+
+
+def hello_refusal(message):
+    if message.get("type") != "hello":
+        return "expected hello frame"
+    return None
+'''
+    assert run_rule(WireFrameCoverageRule(), tmp_path, tree) == []
+    tree["src/repro/serve/remote.py"] = good.replace(
+        "        return hello_refusal(msg)\n", ""
+    )
+    findings = run_rule(WireFrameCoverageRule(), tmp_path, tree)
+    assert [f.message for f in findings] == [
+        "orphan op: frame type 'hello' is sent on pool->worker but no "
+        "receiver dispatcher handles it"
+    ]
+
+
 def test_wire_stale_class_list_is_a_finding(tmp_path):
     tree = wire_tree(REMOTE_BAD)
     tree["src/repro/serve/remote.py"] = REMOTE_BAD.replace(

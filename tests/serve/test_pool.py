@@ -112,7 +112,7 @@ class TestSharedPools:
 
 #: evaluated in a pool worker: the jobs it holds a replica for
 _HELD = ("sorted(__import__('repro.parallel.executor', "
-         "fromlist=['_SHARED_STATE'])._SHARED_STATE)")
+         "fromlist=['_WORKER_TABLE'])._WORKER_TABLE.replicas)")
 
 
 class TestReleasedJobs:
@@ -145,7 +145,7 @@ class TestReleasedJobs:
         pool.submit("cnn", 0, 0, _candidates(two_specs["cnn"], 1))
         _drain(results, 1)
         pool.release("cnn")
-        assert pool._replicas == {}
+        assert pool._table.replicas == {}
 
     def test_scheduler_releases_each_finished_job(self, serve_setup,
                                                   monkeypatch):

@@ -526,7 +526,10 @@ def _held_replicas(server) -> dict:
     """Session name → the jobs it holds a replica or payload of."""
     with server._lock:
         sessions = list(server._sessions)
-    return {s.name: set(s._entries) | set(s._wires) for s in sessions}
+    return {
+        s.name: set(s._table.replicas) | set(s._table.payloads)
+        for s in sessions
+    }
 
 
 class TestReleasedReplicas:
@@ -665,8 +668,8 @@ def _collect(results, n, timeout=60):
 
 class TestResilience:
     """The elastic-fleet recovery paths: hang-after-accept, duplicate
-    dedupe, protocol refusal, drain, runtime membership, rejoin, and
-    thread-leak surfacing."""
+    dedupe, protocol refusal, drain, rejoin, and thread-leak
+    surfacing."""
 
     def test_worker_hangs_after_accepting_chunk_requeues(self):
         """The nasty liveness case: the worker *accepted* chunks and
@@ -799,77 +802,6 @@ class TestResilience:
         # late submissions must all land on the survivor: the drained
         # worker is out of the rotation even though redial is on
         assert perf.counter("fault.drains").value >= 1
-
-    def test_add_and_remove_worker_at_runtime(self):
-        """Elastic membership: the fleet grows and shrinks mid-life
-        without losing chunks."""
-        from repro.serve.pool import encode_pool_wires
-
-        spec, solutions, expected = _mlp_pool_setup()
-        first, second = WorkerServer().start(), WorkerServer().start()
-        results: queue.SimpleQueue = queue.SimpleQueue()
-        pool = SharedRemotePool(
-            encode_pool_wires({"j": spec}), [first.address], results
-        ).start()
-        try:
-            assert pool.workers == 1
-            assert pool.add_worker(second.address) is True
-            assert pool.workers == 2
-            for idx, sol in enumerate(solutions[:3]):
-                pool.submit("j", 0, idx, [sol])
-            first_half = _collect(results, 3)
-            pool.remove_worker(first.address)
-            assert pool.workers == 1
-            for idx, sol in enumerate(solutions[3:]):
-                pool.submit("j", 1, idx, [sol])
-            second_half = _collect(results, len(solutions) - 3)
-        finally:
-            pool.close()
-            first.stop()
-            second.stop()
-        assert first_half == expected[:3]
-        assert second_half == expected[3:]
-
-    def test_add_worker_unreachable_address_joins_later(self):
-        """add_worker on a not-yet-listening address reports False but
-        keeps the address on the redial schedule: when the worker comes
-        up it joins on its own."""
-        import socket as socket_mod
-
-        from repro.serve.pool import encode_pool_wires
-        from repro.serve.resilience import RetryPolicy
-
-        spec, solutions, expected = _mlp_pool_setup(n_solutions=3)
-        first = WorkerServer().start()
-        # reserve a port for the late worker without listening on it yet
-        probe = socket_mod.socket()
-        probe.bind(("127.0.0.1", 0))
-        late_port = probe.getsockname()[1]
-        probe.close()
-        results: queue.SimpleQueue = queue.SimpleQueue()
-        pool = SharedRemotePool(
-            encode_pool_wires({"j": spec}), [first.address], results,
-            retry=RetryPolicy(backoff_base_s=0.02, backoff_max_s=0.1,
-                              heartbeat_s=0.05),
-        ).start()
-        late = None
-        try:
-            assert pool.add_worker(f"127.0.0.1:{late_port}") is False
-            assert pool.workers == 1
-            late = WorkerServer(port=late_port).start()
-            deadline = time.monotonic() + 30
-            while pool.workers < 2 and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert pool.workers == 2, "late worker never joined"
-            for idx, sol in enumerate(solutions):
-                pool.submit("j", 0, idx, [sol])
-            fits = _collect(results, len(solutions))
-        finally:
-            pool.close()
-            first.stop()
-            if late is not None:
-                late.stop()
-        assert fits == expected
 
     def test_restarted_worker_rejoins_and_serves(self):
         """A worker killed and restarted behind the same address is

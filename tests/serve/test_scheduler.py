@@ -278,7 +278,7 @@ class TestAdaptiveChunking:
         from repro.serve.pool import ChunkResult
 
         cnn, _, images = serve_setup
-        scheduler = SearchScheduler(cost_ewma=0.5)
+        scheduler = SearchScheduler()
         scheduler.submit("cnn", cnn, images, config=SEARCH)
         state = scheduler._jobs["cnn"]
         scheduler._update_cost(

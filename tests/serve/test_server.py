@@ -515,7 +515,7 @@ class TestBoundsSoak:
 def _session_replicas(worker) -> list[set]:
     with worker._lock:
         sessions = list(worker._sessions)
-    return [set(s._entries) for s in sessions]
+    return [set(s._table.replicas) for s in sessions]
 
 
 def _settled_thread_count(timeout: float = 10.0) -> int:
