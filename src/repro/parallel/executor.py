@@ -263,18 +263,18 @@ class _ReplicaTable:
 
     ``payloads`` is used as given, not copied.  ``blobs`` and ``fetch``
     resolve a wire payload's blob refs (:func:`repro.spec.wire.decode_job`).
-    ``copies(job, spec)`` says whether a replica must copy the spec's
-    model; without it a replica owns what it decoded or unpickled.
+    A replica owns the model a wire payload decodes to.  A live or
+    unpickled spec's model instance is scored in place, with no copy,
+    unless another job in the table holds the same instance or the job
+    loads a state dict into it; then the replica deep-copies it first.
     """
 
-    def __init__(self, payloads: dict, blobs=None, fetch=None,
-                 copies=None) -> None:
+    def __init__(self, payloads: dict, blobs=None, fetch=None) -> None:
         self.payloads = payloads
         #: job → [replica, its registry, the registry's last snapshot]
         self.replicas: dict[str, list] = {}
         self.blobs = blobs
         self._fetch = fetch
-        self._copies = copies
 
     def add(self, job: str, payload) -> None:
         self.payloads[job] = payload
@@ -289,6 +289,17 @@ class _ReplicaTable:
             if job not in live:
                 self.release(job)
 
+    def _copies(self, job: str, spec: EvaluatorSpec) -> bool:
+        # a job that joins later may load its own state dict into a
+        # shared instance, so a stateful job copies too
+        return spec.model is not None and (
+            spec.state is not None or any(
+                getattr(other, "model", None) is spec.model
+                for name, other in self.payloads.items()
+                if name != job
+            )
+        )
+
     def _replica(self, job: str):
         entry = self.replicas.get(job)
         if entry is not None:
@@ -299,11 +310,13 @@ class _ReplicaTable:
             )
         try:
             spec = self.payloads[job]
+            copy = False
             if isinstance(spec, dict):
                 from ..spec.wire import decode_job
 
                 spec = decode_job(spec, blobs=self.blobs, fetch=self._fetch)
-            copy = self._copies is not None and self._copies(job, spec)
+            else:
+                copy = self._copies(job, spec)
             registry = PerfRegistry()
             replica = spec.build(perf=registry, copy_model=copy)
             entry = [replica, registry, registry.snapshot()]

@@ -186,18 +186,7 @@ class SharedSerialPool(WorkerPool):
     ) -> None:
         self.workers = 1
         self._results = results
-        self._table = _ReplicaTable(dict(specs), copies=self._copies)
-
-    def _copies(self, job: str, spec: EvaluatorSpec) -> bool:
-        # a job that joins later may load its own state dict into a
-        # shared instance, so a stateful job copies too
-        return spec.model is not None and (
-            spec.state is not None or any(
-                other.model is spec.model
-                for name, other in self._table.payloads.items()
-                if name != job
-            )
-        )
+        self._table = _ReplicaTable(dict(specs))
 
     def submit(self, job: str, seq: int, chunk: int, solutions) -> None:
         self._results.put(

@@ -127,6 +127,14 @@ def _send_frame(sock: socket.socket, lock: threading.Lock,
         sock.sendall(data)
 
 
+def _no_delay(sock: socket.socket) -> None:
+    """Switch off Nagle's algorithm on a worker connection.  Every frame
+    is sent whole, so batching buys nothing, and the frame that follows
+    a ``release`` would otherwise wait for the peer's delayed ACK (up
+    to 40 ms on Linux)."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 class _FingerprintMismatch(ConnectionError):
     """A handshake refused because the two ends' numerics fingerprints
     differ (:mod:`repro.parallel._fingerprint`)."""
@@ -456,6 +464,7 @@ class WorkerServer:
                 sock, peer = self._listener.accept()
             except OSError:
                 return  # listener closed
+            _no_delay(sock)
             session = _WorkerSession(self, sock, peer)
             with self._lock:
                 if self._closed:
@@ -1045,6 +1054,7 @@ class SharedRemotePool(WorkerPool):
             raise ConnectionError(
                 f"cannot reach worker {address}: {exc}"
             ) from exc
+        _no_delay(sock)
         worker.sock = sock
         # one buffered reader for the connection's whole life: the
         # handshake reply and every later frame come off the same

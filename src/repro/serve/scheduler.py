@@ -428,6 +428,16 @@ class SearchScheduler:
         with self._lock:
             return {name: st.handle for name, st in self._jobs.items()}
 
+    def _forget(self, name: str) -> None:
+        """Drop finished job ``name`` from the table, so neither it nor
+        :meth:`stats` grows over a daemon's life.  The caller keeps its
+        own record of the job; its handle stays valid.  A job that has
+        not finished, or an unknown name, is left alone."""
+        with self._lock:
+            st = self._jobs.get(name)
+            if st is not None and st.handle.finished:
+                del self._jobs[name]
+
     def stats(self) -> dict:
         """Advisory point-in-time scheduling facts for status views.
 

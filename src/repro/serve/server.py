@@ -722,6 +722,9 @@ class SearchServer:
             raise _SimulatedCrash()
 
     def _on_finished(self, name: str, handle) -> None:
+        # the job's record below is the daemon's own; the scheduler's
+        # copy would otherwise stay for the daemon's whole life
+        self._scheduler._forget(name)
         with self._lock:
             job = self._jobs.get(name)
             if job is None or self._suppress or job.state in _TERMINAL:

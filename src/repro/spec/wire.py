@@ -737,8 +737,12 @@ def encode_job(spec: EvaluatorSpec, search: SearchSpec | None = None,
         # restores every parameter and buffer bit for bit
         # (load_state_dict demands an exact key/shape match, so an
         # architecture the rebuild cannot reproduce fails loudly in
-        # the worker)
-        state = spec.model.state_dict()
+        # the worker).  A spec's own state dict is what its replica
+        # loads, so it wins over the instance's current weights, which
+        # another job sharing the instance may have overwritten
+        state = (
+            spec.model.state_dict() if spec.state is None else spec.state
+        )
     return {
         "version": WIRE_VERSION,
         "kind": "evaluator",

@@ -148,6 +148,14 @@ class TestByeFlush:
         assert metrics[-1]["delta"]["counters"]["worker.evaluations"] == 7
 
 
+def _live_evaluations(frame: dict) -> int:
+    """The worker evaluations one merged fleet frame carries."""
+    return sum(
+        w["delta"].get("counters", {}).get("worker.evaluations", 0)
+        for w in frame.get("workers") or []
+    )
+
+
 class TestDaemonFleetTelemetry:
     def test_live_stream_status_timeseries_and_bitwise(self, tmp_path,
                                                        serial_refs):
@@ -157,23 +165,34 @@ class TestDaemonFleetTelemetry:
         ]
         addresses = [w.address for w in workers]
         ts_dir = tmp_path / "ts"
+        streaming = threading.Event()
+        live = threading.Event()
+
+        def hold_until_live(server, name, info):
+            # a sweep that ends before a worker sample lands streams no
+            # evaluations: hold the first batch until one frame shows
+            # them, and only that batch, timeout or not
+            live.wait(timeout=30.0)
+            live.set()
+            return False
+
         server = SearchServer(
             data_dir=tmp_path / "daemon",
             executor=ExecutorConfig("remote", addresses=addresses),
             metrics_interval=0.05, timeseries=ts_dir,
-            perf=PerfRegistry(),
+            perf=PerfRegistry(), crash_hook=hold_until_live,
         ).start()
         frames: list[dict] = []
         streamer = SearchClient(server.address)
         client = SearchClient(server.address)
-
-        streaming = threading.Event()
 
         def pump():
             try:
                 for frame in streamer.metrics_stream():
                     frames.append(frame)
                     streaming.set()
+                    if _live_evaluations(frame):
+                        live.set()
             except ConnectionError:
                 pass  # server stopped: stream over
 
@@ -225,10 +244,7 @@ class TestDaemonFleetTelemetry:
 
         # (a) live mid-sweep samples: some frame carried a nonzero
         # per-worker evaluation delta while jobs were running
-        live_evals = [
-            w["delta"].get("counters", {}).get("worker.evaluations", 0)
-            for frame in frames for w in frame.get("workers") or []
-        ]
+        live_evals = [_live_evaluations(frame) for frame in frames]
         assert frames, "no merged fleet frames streamed"
         assert sum(live_evals) > 0, "stream never showed live evaluations"
         sources = {

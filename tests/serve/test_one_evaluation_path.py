@@ -5,7 +5,9 @@ only, whatever the call style or backend.  These tests pin the parts
 of that path a single search depends on:
 
 * the serial pool scores the caller's own model instance and copies a
-  model only when a replica could not own it;
+  model only when a replica could not own it; a process worker keeps
+  that rule for the specs it unpickles, and a wire payload carries the
+  job's own state dict;
 * a failure inside a search reaches the caller as the job handle's
   ``RuntimeError``, worker traceback included, on every backend;
 * no search path builds a ``PopulationEvaluator`` or an executor.
@@ -98,6 +100,56 @@ class TestSerialCopyRule:
         scheduler.run()
         for name, ref in refs.items():
             assert _same(handles[name].result(), ref), name
+
+
+def _shared_sequential():
+    """A model the wire codec rejects (``nn.Sequential()`` cannot
+    rebuild it), so a process pool ships its pickled spec."""
+    return nn.Sequential(
+        nn.Conv2d(3, 6, 3, padding=1, bias=False), nn.BatchNorm2d(6),
+        nn.ReLU(), nn.GlobalAvgPool(), nn.Linear(6, 8),
+    )
+
+
+#: a budget whose standalone searches improve on their first
+#: population, so a replica scoring the wrong weights changes the result
+SHARED = dataclasses.replace(SEARCH, population=4, passes=2, cycles=2)
+
+
+class TestProcessCopyRule:
+    @pytest.mark.parametrize("build", [_shared_sequential, ServeBNCNN],
+                             ids=["pickled", "wire"])
+    def test_jobs_sharing_one_instance_match_standalone(
+        self, serve_setup, build
+    ):
+        """Two jobs share one model instance and load different state
+        dicts into it on a one-worker process pool.  Each job is bitwise
+        its standalone search, whether the job travels as its pickled
+        spec or as a wire payload."""
+        _, _, images = serve_setup
+        states, refs = {}, {}
+        for name, seed in (("a", 51), ("b", 52)):
+            nn.seed(seed)
+            states[name] = build().state_dict()
+            model = build().eval()
+            model.load_state_dict(states[name])
+            refs[name] = lpq_quantize(model, images, config=SHARED)
+        assert refs["a"].fitness < refs["a"].history.best_fitness[0]
+
+        shared = build().eval()
+        scheduler = SearchScheduler(
+            executor=ExecutorConfig("process", workers=1)
+        )
+        handles = {
+            name: scheduler.submit(name, shared, images, state=state,
+                                   config=SHARED)
+            for name, state in states.items()
+        }
+        scheduler.run()
+        for name, ref in refs.items():
+            got = handles[name].result()
+            assert _same(got, ref), name
+            assert got.history == ref.history, name
 
 
 class TestSearchFailure:

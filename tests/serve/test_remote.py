@@ -219,6 +219,24 @@ class TestHandshake:
             finally:
                 sock.close()
 
+    def test_both_ends_switch_off_nagle(self):
+        """Both ends of a live worker connection set ``TCP_NODELAY``, so
+        the frame after a ``release`` never waits for a delayed ACK."""
+        with WorkerServer() as server:
+            pool = SharedRemotePool(
+                {}, [server.address], queue.SimpleQueue()
+            ).start()
+            try:
+                (worker,) = pool._workers
+                with server._lock:
+                    (session,) = server._sessions
+                for sock in (worker.sock, session.sock):
+                    assert sock.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY
+                    )
+            finally:
+                pool.close()
+
     def test_unreachable_worker_fails_with_address(self):
         results: queue.SimpleQueue = queue.SimpleQueue()
         with pytest.raises(ConnectionError, match="127.0.0.1:9"):

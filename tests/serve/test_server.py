@@ -449,8 +449,9 @@ class TestContinuousAdmission:
 class TestBoundsSoak:
     """Twelve tiny jobs in three bursts through one daemon over a
     two-worker fleet: one dial per worker per busy period, no worker
-    session holding more replicas than there are jobs in flight, and a
-    thread count that levels off."""
+    session holding more replicas than there are jobs in flight, a
+    scheduler that holds no finished job, and a thread count that
+    levels off."""
 
     def test_connects_replicas_and_threads_stay_bounded(self, tmp_path,
                                                         monkeypatch):
@@ -498,6 +499,14 @@ class TestBoundsSoak:
                     names.append(job.name)
                 burst_ready.set()
                 _wait_states(server, {name: "done" for name in names})
+                # the daemon keeps each job's record; its scheduler
+                # forgets the job as it finishes
+                assert server._scheduler.stats()["jobs"] == {}
+                states = {
+                    j["job"]: j["state"]
+                    for j in server.fleet_status()["jobs"]
+                }
+                assert all(states[name] == "done" for name in names)
                 threads.append(_settled_thread_count())
         finally:
             burst_ready.set()
