@@ -89,10 +89,10 @@ def main() -> None:
     # the scheduler merges per-job registries back, so the shared-pool
     # run stays observable end to end
     snap = get_perf().snapshot()
-    memo = snap["caches"]["population.memo"]
+    weights = snap["caches"]["quant.weight_cache"]
     print(f"\nscheduler batches: {snap['counters']['serve.batches']}  "
           f"chunks: {snap['counters']['serve.chunks']}  "
-          f"memo hit rate: {memo['hit_rate'] * 100:.1f}%")
+          f"weight-cache hit rate: {weights['hit_rate'] * 100:.1f}%")
 
     # the same fleet, launched from a committed spec file
     spec_path = Path(__file__).parent / "specs" / "tiny_resnet.json"

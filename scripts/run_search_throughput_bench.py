@@ -9,8 +9,8 @@ Usage::
         [--out BENCH_search_throughput.json]
 
 For every selected model the record compares the reference evaluation
-path, the incremental engine (fitness memo, weight/activation quant
-caches, fused BN recalibration, prefix-reuse forwards), and each
+path, the incremental engine (weight/activation quant caches, fused
+BN recalibration, prefix-reuse forwards), and each
 backend's pool running the same search as a one-job
 ``repro.serve.SearchScheduler`` (what ``lpq_quantize`` runs), asserting
 the trajectories stay bitwise identical.  The ``multi_job`` section

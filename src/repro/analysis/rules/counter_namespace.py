@@ -7,7 +7,7 @@ namespaces``) is the source of truth this rule reads; it checks both
 directions:
 
 * every ``counter("...")`` / ``timer("...")`` / ``cache("...")``
-  literal in the code (including the ``timer_name``/``memo_name``
+  literal in the code (including the ``timer_name``/``cache_name``
   evaluator-class attributes) must appear in the table, with the
   matching kind;
 * every table row must correspond to a name the code actually uses —
@@ -32,7 +32,6 @@ _ROW = re.compile(r"^\|\s*`(?P<name>[^`]+)`\s*\|\s*(?P<kind>\w+)\s*\|")
 _NAME_ATTRS = {
     "timer_name": "timer",
     "counter_name": "counter",
-    "memo_name": "cache",
     "cache_name": "cache",
 }
 

@@ -19,8 +19,8 @@ every backend produces bitwise-identical fitness values.
 dedupes candidates against a population-level memo and fans the rest
 out through an executor backend, returning results in submission order.
 Searches do not run on it: :func:`repro.quant.lpq_quantize` is a
-one-job :class:`repro.serve.SearchScheduler`, whose job memo and shared
-pools do the same work.
+one-job :class:`repro.serve.SearchScheduler`, whose shared pools do the
+same work without a memo: no search proposes a candidate twice.
 """
 
 from __future__ import annotations

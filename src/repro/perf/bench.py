@@ -5,8 +5,8 @@ analogue) the *same* genetic search runs several ways:
 
 * ``reference`` — full BN-recalibration pass + full measurement pass per
   candidate (``FitnessConfig.fast`` off);
-* ``fast`` — the PR-1 incremental engine (fitness memo, quantized-weight
-  + activation-quant caches, fused recalibration, prefix-reuse forwards);
+* ``fast`` — the incremental engine (quantized-weight + activation-quant
+  caches, fused recalibration, prefix-reuse forwards);
 * one section per executor backend (``serial`` / ``process`` /
   ``remote``) — the incremental engine as a one-job
   :class:`repro.serve.SearchScheduler` run on that backend's pool, the
@@ -319,7 +319,7 @@ def _one_job_search(executor, model_name: str, prepared, config):
     """One full search as a one-job :class:`repro.serve.SearchScheduler`
     run on ``executor`` — the path :func:`repro.quant.lpq_quantize`
     takes.  Returns the :class:`~repro.quant.LPQResult` and the number
-    of candidates the pool computed (memo hits excluded)."""
+    of candidates the pool computed."""
     from ..serve import SearchScheduler
 
     model, images, stats = prepared

@@ -12,7 +12,6 @@ that is multiplied by the compression factor ``L_CR^λ``.
 evaluation incremental, independent of which measurement the subclass
 extracts from the pass:
 
-* a result memo keyed by the full candidate makes duplicates free;
 * a :class:`~repro.quant.quantizer.WeightQuantCache` re-quantizes only
   layers whose parameters actually changed;
 * an :class:`~repro.quant.quantizer.ActQuantCache` memoises quantized
@@ -56,18 +55,14 @@ from .params import QuantSolution
 
 __all__ = ["FitnessConfig", "IncrementalEvaluator"]
 
-#: memo-miss sentinel — a fitness of exactly 0.0 is legal (e.g. an MSE
-#: objective on a bitwise-lossless candidate) and must still be memoized
-_MISSING = object()
-
 
 @dataclass(frozen=True)
 class FitnessConfig:
     """Knobs of the fitness function; defaults follow the paper.
 
     ``fast`` toggles the incremental evaluation engine (quantized-weight
-    cache, result memo, prefix-reuse forward passes, fused BN
-    recalibration, activation-quant cache).  Fast and reference paths
+    cache, prefix-reuse forward passes, fused BN recalibration,
+    activation-quant cache).  Fast and reference paths
     produce bitwise-identical fitness values; the flag exists for
     benchmarking and as an escape hatch.  ``weight_cache_entries`` bounds
     the quantized-weight LRU and ``act_cache_entries`` the quantized-
@@ -118,13 +113,12 @@ class IncrementalEvaluator:
     * ``_loss(measurement)`` — the objective factor; the engine then
       multiplies it by ``L_CR^λ``.
 
-    ``timer_name``/``memo_name`` label the perf sections so both
-    evaluators report uniformly; every concrete evaluator must set them
-    to names declared in the docs/perf.md counter table.
+    ``timer_name`` labels the perf section so both evaluators report
+    uniformly; every concrete evaluator must set it to a name declared
+    in the docs/perf.md counter table.
     """
 
     timer_name: str
-    memo_name: str
 
     def __init__(
         self,
@@ -148,9 +142,10 @@ class IncrementalEvaluator:
         self.layer_names = [n for n, _ in self._layers]
         clear_quantization(model)
         model.eval()
-        #: evaluations requested (memo hits included)
+        #: evaluations requested
         self.evaluations = 0
-        #: evaluations that actually ran a forward pass (memo misses)
+        #: evaluations that ran a forward pass: all of them, as there is
+        #: no result memo (perfbench's tracer reads this name)
         self.computed_evaluations = 0
         self.perf = perf if perf is not None else get_perf()
         # -- incremental engine state ------------------------------------
@@ -158,7 +153,6 @@ class IncrementalEvaluator:
         # module lists walked once here instead of on every evaluation
         self._modules = [m for _, m in model.named_modules()]
         self._bns = [m for m in self._modules if isinstance(m, BatchNorm2d)]
-        self._memo: dict = {}
         self._weight_cache = WeightQuantCache(
             self.config.weight_cache_entries,
             stats=self.perf.cache("quant.weight_cache"),
@@ -194,18 +188,6 @@ class IncrementalEvaluator:
     def __call__(self, solution: QuantSolution, act_params=None) -> float:
         from .fitness import compression_ratio
 
-        if self.fast:
-            key = (
-                solution,
-                None if act_params is None else tuple(act_params),
-            )
-            memo_stats = self.perf.cache(self.memo_name)
-            cached = self._memo.get(key, _MISSING)
-            if cached is not _MISSING:
-                memo_stats.hit()
-                self.evaluations += 1  # requested, but served from the memo
-                return cached
-            memo_stats.miss()
         with self.perf.timer(self.timer_name).time():
             if self.fast:
                 measurement = self._measure_fast(solution, act_params)
@@ -214,41 +196,25 @@ class IncrementalEvaluator:
         self.evaluations += 1
         self.computed_evaluations += 1
         lcr = compression_ratio(solution, self.param_counts)
-        fitness = self._loss(measurement) * lcr**self.config.lam
-        if self.fast:
-            self._memo[key] = fitness
-        return fitness
+        return self._loss(measurement) * lcr**self.config.lam
 
     def evaluate_many(self, solutions, act_params_list=None) -> list[float]:
         """Evaluate a batch of candidates, results in submission order.
 
-        Candidates not already memoized get their quantized weights
-        prefilled through :meth:`prefill_weights` first — one LUT lookup
-        per shared format instead of per-layer-per-candidate calls —
-        then each candidate runs the usual (bitwise-identical)
-        incremental path against a warm cache.  Every pool worker
-        replica of a :class:`repro.serve.SearchScheduler` job scores
-        its chunks through this method.
+        Every candidate gets its quantized weights prefilled through
+        :meth:`prefill_weights` first — one LUT lookup per shared format
+        instead of per-layer-per-candidate calls — then runs the usual
+        (bitwise-identical) incremental path against a warm cache.
+        Every pool worker replica of a :class:`repro.serve.SearchScheduler`
+        job scores its chunks through this method.
         """
         solutions = list(solutions)
         if act_params_list is None:
             act_params_list = [None] * len(solutions)
-        self.prefill_weights(
-            sol
-            for sol, acts in zip(solutions, act_params_list)
-            if not self.is_memoized(sol, acts)
-        )
+        self.prefill_weights(solutions)
         return [
             self(sol, acts) for sol, acts in zip(solutions, act_params_list)
         ]
-
-    def is_memoized(self, solution: QuantSolution, act_params=None) -> bool:
-        """True when ``__call__`` would serve this candidate from the
-        fitness memo (no stats side effects — pure lookup)."""
-        if not self.fast:
-            return False
-        key = (solution, None if act_params is None else tuple(act_params))
-        return key in self._memo
 
     def prefill_weights(self, solutions) -> int:
         """Warm the quantized-weight cache for a batch of candidates.
@@ -277,7 +243,6 @@ class IncrementalEvaluator:
 
     def reset_caches(self) -> None:
         """Invalidate all caches (required after mutating model weights)."""
-        self._memo.clear()
         self._weight_cache.clear()
         self._act_cache.clear()
         self._forward_cache.invalidate()

@@ -18,10 +18,10 @@ second full pass to fingerprint the quantized model.  The *incremental*
 engine (``FitnessConfig.fast``, default on) produces bitwise-identical
 fitness values while exploiting the block-wise structure of the search —
 see :class:`repro.quant.engine.IncrementalEvaluator` for the machinery
-(fitness memo, weight/activation quant caches, prefix-reuse forward
-replay, fused BN recalibration).  On top of the shared engine this
-evaluator adds a pooled-column cache: kurtosis fingerprint columns of
-unchanged layers are reused as-is.
+(weight/activation quant caches, prefix-reuse forward replay, fused BN
+recalibration).  On top of the shared engine this evaluator adds a
+pooled-column cache: kurtosis fingerprint columns of unchanged layers
+are reused as-is.
 """
 
 from __future__ import annotations
@@ -118,7 +118,6 @@ class FitnessEvaluator(IncrementalEvaluator):
     """
 
     timer_name = "fitness.evaluate"
-    memo_name = "fitness.memo"
 
     def _prepare_reference(self) -> None:
         self.fp_fingerprints = ir_fingerprints(

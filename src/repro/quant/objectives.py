@@ -6,8 +6,8 @@ representational collapse of intermediate layers (global contrastive).
 Each evaluator shares the interface of
 :class:`repro.quant.fitness.FitnessEvaluator` so the GA engine can swap
 objectives for the convergence experiment — including the incremental
-fast path (result memo, weight/activation quant caches, prefix-reuse
-forward replay, fused BN recalibration): a Fig. 5(a) baseline sweep no
+fast path (weight/activation quant caches, prefix-reuse forward
+replay, fused BN recalibration): a Fig. 5(a) baseline sweep no
 longer pays the full reference-path cost per candidate.
 """
 
@@ -75,13 +75,12 @@ class OutputObjectiveEvaluator(IncrementalEvaluator):
     candidate measurement is simply the model's final output, so the fast
     pass records no intermediate activations and the prefix-reuse replay
     recomputes only the suffix forward.  Exposes the same
-    ``evaluations``/``computed_evaluations`` counters and perf sections
-    (``objective.evaluate`` timer, ``objective.memo`` cache) so benches
-    report both evaluators uniformly.
+    ``evaluations``/``computed_evaluations`` counters and an
+    ``objective.evaluate`` timer so benches report both evaluators
+    uniformly.
     """
 
     timer_name = "objective.evaluate"
-    memo_name = "objective.memo"
 
     def __init__(
         self,

@@ -169,14 +169,10 @@ class _JobState:
     stats: LayerStats | None = None
     gen: object | None = None
     seq: int = -1
-    batch: list | None = None  # full batch (duplicates included)
-    unique: list | None = None  # deduped candidates actually submitted
-    chunk_sizes: list[int] = field(default_factory=list)
     chunk_fits: dict[int, list] = field(default_factory=dict)
     chunks_outstanding: int = 0
-    memo: dict = field(default_factory=dict)
-    evaluations: int = 0  # requested (memo hits included)
-    computed_evaluations: int = 0  # submitted to a worker
+    evaluations: int = 0  # candidates sent to the workers
+    computed_evaluations: int = 0  # the same number: there is no memo
     cost_est: float | None = None  # EWMA seconds per candidate
     event_snap: dict | None = None  # perf snapshot at the last on_batch
 
@@ -202,9 +198,8 @@ class _JobState:
         """Forget everything but the handle and the counters, so a
         ``run()`` that lasts a daemon's life stays bounded."""
         self._spec = self.search = self.engine = self.stats = None
-        self.gen = self.batch = self.unique = self.event_snap = None
+        self.gen = self.event_snap = None
         self.perf = None
-        self.memo = {}
         self.chunk_fits = {}
 
 
@@ -523,14 +518,11 @@ class SearchScheduler:
                 st.chunk_fits[res.chunk] = res.fits
                 st.chunks_outstanding -= 1
                 if st.chunks_outstanding == 0:
-                    fits_unique = [
+                    fits = [
                         fit
                         for chunk in sorted(st.chunk_fits)
                         for fit in st.chunk_fits[chunk]
                     ]
-                    for sol, fit in zip(st.unique, fits_unique):
-                        st.memo[sol] = fit
-                    fits = [st.memo[sol] for sol in st.batch]
                     self._emit_batch(st)
                     submitted = self._advance(st, pool, fits)
                     outstanding += submitted
@@ -609,8 +601,11 @@ class SearchScheduler:
         try:
             espec = st.spec
             if espec.stats is None:  # the caller did not precollect them
+                # a job's own state dict must not land in the caller's
+                # instance, so a stateful instance is copied first
                 espec.stats = collect_layer_stats(
-                    espec._model(), espec.images
+                    espec._model(copy_model=espec.state is not None),
+                    espec.images,
                 )
             st.stats = espec.stats
             st.engine = LPQEngine(
@@ -628,52 +623,28 @@ class SearchScheduler:
 
     def _advance(self, st: _JobState, pool, fits) -> int:
         """Feed results back and submit the next batch; returns the
-        number of chunks submitted (0 = job reached a terminal state).
-
-        Loops in place when a batch is fully memoised (no worker round
-        trip needed) so consecutive memo-served batches cannot recurse.
-        """
-        while True:
-            try:
-                if fits is None:
-                    batch = next(st.gen)
-                else:
-                    batch = st.gen.send(fits)
-            except StopIteration:
-                self._finalize_done(st)
-                return 0
-            except Exception:  # lint: disable=broad-except -- job isolation: one job's engine failure must only fail that job
-                self._finalize_failed(st, traceback.format_exc())
-                return 0
-            if st.handle._cancel_requested:
-                self._finalize_cancelled(st)
-                return 0
-            submitted = self._submit_batch(st, pool, batch)
-            if submitted:
-                return submitted
-            # every candidate was served from the job memo
-            fits = [st.memo[sol] for sol in st.batch]
-
-    def _submit_batch(self, st: _JobState, pool, batch) -> int:
-        st.seq += 1
-        st.batch = list(batch)
-        st.evaluations += len(st.batch)
-        memo_stats = st.perf.cache("population.memo")
-        unique, seen = [], set()
-        for sol in st.batch:
-            if sol in st.memo or sol in seen:
-                memo_stats.hit()
-            else:
-                memo_stats.miss()
-                seen.add(sol)
-                unique.append(sol)
-        st.unique = unique
-        st.computed_evaluations += len(unique)
-        if not unique:
+        number of chunks submitted (0 = job reached a terminal state)."""
+        try:
+            batch = next(st.gen) if fits is None else st.gen.send(fits)
+            if not batch:  # nothing to score: a population of 0
+                raise ValueError("the search proposed an empty batch")
+        except StopIteration:
+            self._finalize_done(st)
             return 0
-        chunks = self._chunks(st, unique, pool.workers)
+        except Exception:  # lint: disable=broad-except -- job isolation: one job's engine failure must only fail that job
+            self._finalize_failed(st, traceback.format_exc())
+            return 0
+        if st.handle._cancel_requested:
+            self._finalize_cancelled(st)
+            return 0
+        return self._submit_batch(st, pool, batch)
+
+    def _submit_batch(self, st: _JobState, pool, batch: list) -> int:
+        st.seq += 1
+        st.evaluations += len(batch)
+        st.computed_evaluations += len(batch)
+        chunks = self._chunks(st, batch, pool.workers)
         st.chunk_fits = {}
-        st.chunk_sizes = [len(c) for c in chunks]
         st.chunks_outstanding = len(chunks)
         st.perf.counter("serve.batches").inc()
         st.perf.counter("serve.chunks").inc(len(chunks))
@@ -681,7 +652,7 @@ class SearchScheduler:
             pool.submit(st.name, st.seq, idx, chunk)
         return len(chunks)
 
-    def _chunks(self, st: _JobState, unique: list, workers: int) -> list:
+    def _chunks(self, st: _JobState, batch: list, workers: int) -> list:
         """Cost-adaptive chunking: aim for ``target_chunk_s`` per chunk,
         never fewer chunks than would keep ``workers`` busy, chunk size
         1 until the job has a cost estimate."""
@@ -692,8 +663,8 @@ class SearchScheduler:
             # keep at least `workers` chunks in flight when the batch
             # allows it, so a cheap job cannot collapse into one task
             # that serialises the pool
-            size = min(size, max(1, len(unique) // workers))
-        return [unique[i : i + size] for i in range(0, len(unique), size)]
+            size = min(size, max(1, len(batch) // workers))
+        return [batch[i : i + size] for i in range(0, len(batch), size)]
 
     def _update_cost(self, st: _JobState, res) -> None:
         if not res.fits or res.elapsed <= 0:

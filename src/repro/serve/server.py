@@ -43,7 +43,7 @@ import tempfile
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..obs import MetricsEmitter, TimeSeriesStore, get_hub, merge_samples
@@ -108,7 +108,6 @@ class _ServerJob:
     cached: bool = False
     cancel_requested: bool = False
     handle: object | None = None
-    record: dict | None = field(default=None, repr=False)
 
 
 def _describe(job: _ServerJob) -> dict:
@@ -522,9 +521,8 @@ class SearchServer:
             else:
                 # a done job's record is read again, not trusted: one
                 # written under other numerics is a miss and re-runs
-                record = self.store.load(job.digest)
-                if record is not None:
-                    job.state, job.cached, job.record = "done", True, record
+                if self.store.load(job.digest) is not None:
+                    job.state, job.cached = "done", True
                     self.stats["replayed"] += 1
                     if info["state"] != "done":
                         # the result landed in the store before the
@@ -583,9 +581,7 @@ class SearchServer:
                           priority=job.priority, digest=digest)
             self._jobs[job_name] = job
             self._by_digest[digest] = job_name
-            record = self.store.load(digest)
-            if record is not None:
-                job.record = record
+            if self.store.load(digest) is not None:
                 job.cached = True
                 self.stats["replayed"] += 1
                 self._finish(job, "done")
@@ -622,17 +618,18 @@ class SearchServer:
         return job
 
     def job_record(self, name) -> dict:
-        """A done job's result record (loaded from the store on first
-        access after a restart)."""
+        """A done job's result record, read from the store on every
+        call: the daemon keeps no record of its own, so its memory does
+        not grow with the jobs it has finished.  The read is not a
+        cache lookup, so ``serve.results`` does not count it."""
         job = self._get_job(name)
-        if job.record is None:
-            job.record = self.store.load(job.digest)
-        if job.record is None:
+        record = self.store.read(job.digest)
+        if record is None:
             raise ServerError(
                 f"job {job.name!r} finished but its record is missing "
                 "from the result store"
             )
-        return job.record
+        return record
 
     def job_state(self, name) -> str:
         return self._get_job(name).state
@@ -722,17 +719,17 @@ class SearchServer:
             raise _SimulatedCrash()
 
     def _on_finished(self, name: str, handle) -> None:
-        # the job's record below is the daemon's own; the scheduler's
-        # copy would otherwise stay for the daemon's whole life
+        # the job's record goes to the result store below; the
+        # scheduler's copy would otherwise stay for the daemon's life
         self._scheduler._forget(name)
         with self._lock:
             job = self._jobs.get(name)
             if job is None or self._suppress or job.state in _TERMINAL:
                 return
             if handle.done:
-                record = result_record(job.spec, handle.result(), None)
-                self.store.store(job.digest, record)
-                job.record = record
+                self.store.store(
+                    job.digest, result_record(job.spec, handle.result(), None)
+                )
                 self.stats["executed"] += 1
                 self._finish(job, "done")
             elif handle.cancelled and not job.cancel_requested:

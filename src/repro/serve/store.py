@@ -231,22 +231,30 @@ class ResultStore:
     def path(self, digest: str) -> Path:
         return self.root / f"{digest}.json"
 
-    def load(self, digest: str) -> dict | None:
-        """The stored record for ``digest``, or ``None`` on a miss (a
-        missing, corrupt or non-object file, and a record written under
-        other numerics, all count as misses)."""
-        stats = self.perf.cache("serve.results")
+    def read(self, digest: str) -> dict | None:
+        """The stored record for ``digest``, or ``None`` when there is
+        none this process may use: a missing, corrupt or non-object
+        file, or a record written under other numerics.  Counts
+        nothing; :meth:`load` is the counted cache lookup."""
         try:
             record = json.loads(self.path(digest).read_text())
         except (OSError, ValueError):
-            stats.miss()
             return None
         if not isinstance(record, dict) or (
             record.get("fingerprint") != numerics_fingerprint()
         ):
-            stats.miss()
             return None
-        stats.hit()
+        return record
+
+    def load(self, digest: str) -> dict | None:
+        """:meth:`read` as a cache lookup: every ``None`` counts as a
+        ``serve.results`` miss, every record as a hit."""
+        record = self.read(digest)
+        stats = self.perf.cache("serve.results")
+        if record is None:
+            stats.miss()
+        else:
+            stats.hit()
         return record
 
     def store(self, digest: str, record: dict) -> Path:

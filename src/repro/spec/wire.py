@@ -40,10 +40,10 @@ checksum turns silent corruption into a loud, connection-scoped
 and requeues its chunks instead of feeding a flipped bit into a search.
 :func:`frame_message` and :class:`FrameDecoder` are the pure
 encode/decode pair (the decoder is incremental, so arbitrary TCP
-segmentation cannot split a message), and :func:`read_frame` /
-:func:`write_frame` apply them to a stream.  The handshake and task
-messages themselves are built by the ``*_message`` constructors below,
-so both ends of the socket agree on one schema:
+segmentation cannot split a message), and :func:`read_frame` reads one
+frame from a stream.  The handshake and task messages themselves are
+built by the ``*_message`` constructors below, so both ends of the
+socket agree on one schema:
 
 >>> decoder = FrameDecoder()
 >>> decoder.feed(frame_message({"type": "ping", "t": 1}))
@@ -88,7 +88,6 @@ __all__ = [
     "FrameDecoder",
     "frame_message",
     "read_frame",
-    "write_frame",
     "encode_callable",
     "decode_callable",
     "encode_stats",
@@ -237,13 +236,6 @@ class FrameDecoder:
     def pending_bytes(self) -> int:
         """Bytes buffered toward an incomplete frame."""
         return len(self._buffer)
-
-
-def write_frame(stream, message: dict,
-                max_bytes: int = MAX_FRAME_BYTES) -> None:
-    """Frame ``message`` onto a binary stream (socket ``makefile``)."""
-    stream.write(frame_message(message, max_bytes))
-    stream.flush()
 
 
 def read_frame(stream, max_bytes: int = MAX_FRAME_BYTES) -> dict | None:

@@ -369,7 +369,7 @@ def test_counter_namespace_kind_mismatch(tmp_path):
 
 
 def test_counter_namespace_name_attr_convention(tmp_path):
-    # timer_name / memo_name class attributes carry metric names too
+    # timer_name / cache_name class attributes carry metric names too
     findings = run_rule(
         CounterNamespaceRule(), tmp_path,
         {
@@ -379,7 +379,7 @@ def test_counter_namespace_name_attr_convention(tmp_path):
             "src/repro/ev.py": (
                 "class Ev:\n"
                 '    timer_name = "lpq.undeclared"\n'
-                '    memo_name = "lpq.candidates"\n'
+                '    cache_name = "lpq.candidates"\n'
             ),
         },
     )

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import quantizable_layers
 from repro.numerics import LPParams
@@ -107,6 +109,47 @@ class TestEngineMechanics:
         s2, f2 = LPQEngine(BitCounterEvaluator(), [0.0] * 5, FAST).run()
         assert f1 == f2
         assert s1.encode().tolist() == s2.encode().tolist()
+
+
+class RecordingEvaluator(BitCounterEvaluator):
+    """The toy fitness, keeping every candidate it was asked to score."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def __call__(self, solution, act_params=None):
+        self.seen.append(solution)
+        return super().__call__(solution, act_params)
+
+
+search_configs = st.builds(
+    LPQConfig,
+    population=st.integers(2, 8),
+    passes=st.integers(1, 2),
+    cycles=st.integers(1, 2),
+    block_size=st.integers(1, 4),
+    diversity_parents=st.integers(1, 5),
+    hw_widths=st.sampled_from([None, (4, 8), (2,), (8,)]),
+    diversity=st.booleans(),
+    blockwise=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    config=search_configs,
+    centers=st.lists(st.floats(-6.0, 1.0), min_size=1, max_size=12),
+)
+def test_search_never_proposes_a_candidate_twice(config, centers):
+    """Every candidate carries a freshly drawn ``sf`` in each layer it
+    touches (Step 1's ball, Step 2's η perturbation), so no two
+    candidates of one search are equal and nothing on the search path
+    needs a result memo."""
+    evaluator = RecordingEvaluator()
+    LPQEngine(evaluator, centers, config).run()
+    assert len(set(evaluator.seen)) == len(evaluator.seen)
 
 
 class TestRegenerationEquations:

@@ -7,7 +7,8 @@ of that path a single search depends on:
 * the serial pool scores the caller's own model instance and copies a
   model only when a replica could not own it; a process worker keeps
   that rule for the specs it unpickles, and a wire payload carries the
-  job's own state dict;
+  job's own state dict, and no job's state dict is loaded into the
+  caller's instance;
 * a failure inside a search reaches the caller as the job handle's
   ``RuntimeError``, worker traceback included, on every backend;
 * no search path builds a ``PopulationEvaluator`` or an executor.
@@ -25,6 +26,7 @@ from repro.serve import SearchScheduler
 from repro.serve.remote import local_worker_fleet
 from repro.spec import CalibSpec, SearchSpec
 
+from .._bits import assert_bits_equal
 from .conftest import SEARCH
 from .servemodels import ServeBNCNN, ServeMLP, build_failing_cnn
 
@@ -152,6 +154,35 @@ class TestProcessCopyRule:
             assert got.history == ref.history, name
 
 
+class TestCallersInstance:
+    @pytest.mark.parametrize("executor", [
+        None, ExecutorConfig("process", workers=1),
+    ], ids=["serial", "process"])
+    def test_job_states_never_load_into_the_callers_instance(
+        self, serve_setup, executor
+    ):
+        """Two jobs bring their own state dicts for one model instance.
+        Neither is loaded into the caller's instance: after ``run()``
+        its weights are bitwise the ones it had before."""
+        _, _, images = serve_setup
+        states = {}
+        for name, seed in (("a", 51), ("b", 52)):
+            nn.seed(seed)
+            states[name] = _shared_sequential().state_dict()
+        nn.seed(50)
+        shared = _shared_sequential().eval()
+        before = shared.state_dict()
+        scheduler = SearchScheduler(executor=executor)
+        for name, state in states.items():
+            scheduler.submit(name, shared, images, state=state,
+                             config=SEARCH)
+        scheduler.run()
+        after = shared.state_dict()
+        assert after.keys() == before.keys()
+        for key, value in before.items():
+            assert_bits_equal(after[key], value)
+
+
 class TestSearchFailure:
     @pytest.mark.parametrize("executor", [
         None, ExecutorConfig("process", workers=2),
@@ -170,8 +201,16 @@ class TestSearchFailure:
         assert "Traceback" in message
         assert "injected failure: training-mode forward" in message
 
+    def test_empty_population_fails_the_job(self, serve_setup):
+        """A population of 0 proposes an empty first batch: the job
+        fails at once instead of waiting for chunks that never come."""
+        _, mlp, images = serve_setup
+        config = dataclasses.replace(SEARCH, population=0)
+        with pytest.raises(RuntimeError, match="empty batch"):
+            lpq_quantize(mlp, images, config=config)
 
-CONFIG = LPQConfig(population=3, passes=1, cycles=1, block_size=2,
+
+CONFIG =LPQConfig(population=3, passes=1, cycles=1, block_size=2,
                    diversity_parents=2, hw_widths=(4, 8), seed=13)
 CALIB = CalibSpec(batch=4, seed=3)
 

@@ -252,7 +252,6 @@ class TestSchedulerLifecycle:
         snap = perf.snapshot()
         assert snap["counters"]["lpq.candidates"] > 0
         assert snap["caches"]["quant.weight_cache"]["misses"] > 0
-        assert snap["caches"]["population.memo"]["misses"] > 0
         assert snap["counters"]["serve.batches"] > 0
         assert snap["counters"]["serve.chunks"] >= snap["counters"]["serve.batches"]
 
@@ -430,7 +429,7 @@ class TestContinuousAdmission:
         assert st.handle is handle and handle.done
         assert st.spec is None and st.engine is None and st.gen is None
         assert st.search is None and st.stats is None and st.perf is None
-        assert st.memo == {} and st.batch is None and st.unique is None
+        assert st.chunk_fits == {} and st.event_snap is None
         assert st.evaluations == result.evaluations
         assert scheduler.stats()["jobs"]["cnn"]["evaluations"] \
             == result.evaluations
