@@ -31,8 +31,11 @@ body and the replica table behind every worker body.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import multiprocessing
 import os
+import threading
 import time
 import traceback
 from dataclasses import dataclass
@@ -256,6 +259,80 @@ class SerialExecutor:
 # own* chunks (the error travels back inside the result tuple); the
 # worker survives and keeps serving other jobs.
 
+#: finished jobs' replicas a worker keeps idle for later jobs
+IDLE_REPLICAS = 4
+
+#: the ``"search"`` payload fields a replica is built from; the GA
+#: config, seed, executor and job name do not reach the evaluator
+_IDENTITY_FIELDS = ("model", "calib", "fitness", "objective", "act_sf_mode")
+
+
+def replica_identity(payload) -> str | None:
+    """The evaluator identity of a job payload, or ``None`` for a
+    payload whose replica is never reused.
+
+    Only ``"search"`` wire payloads have one: a hash of the spec's
+    model, calibration, fitness, objective and activation-mode fields
+    plus the encoded layer statistics.  An ``"evaluator"`` payload
+    carries live or pickled models and state dicts, and a live spec
+    (serial pool) is the caller's own object, so neither reuses.
+    """
+    if not isinstance(payload, dict) or payload.get("kind") != "search":
+        return None
+    search = payload["search"]
+    fields = [payload.get("version"), search.get("version"),
+              payload.get("stats")]
+    fields += [search.get(name) for name in _IDENTITY_FIELDS]
+    text = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class _IdleReplicas:
+    """Finished jobs' replicas, kept for later jobs with the same
+    evaluator identity: at most :data:`IDLE_REPLICAS`, the least
+    recently released dropped first.
+
+    :meth:`put` drops the replica's caches first, so an idle replica
+    holds only its model, calibration images and FP references.
+    :meth:`take` hands a replica to one job and removes it from the
+    set, so no two jobs share one.  Thread-safe: one set serves every
+    session of a socket worker.  ``perf`` (optional) counts the
+    ``worker.replicas`` evictions; hits and misses travel in the job's
+    own perf deltas (:class:`_ReplicaTable`).
+    """
+
+    def __init__(self, perf=None) -> None:
+        self.perf = perf
+        #: (identity, table entry), least recently released first
+        self._entries: list[tuple[str, list]] = []
+        self._lock = threading.Lock()
+
+    def put(self, identity: str, entry: list) -> None:
+        entry[0].evaluator.reset_caches()
+        with self._lock:
+            self._entries.append((identity, entry))
+            evicted = len(self._entries) - IDLE_REPLICAS
+            if evicted > 0:
+                del self._entries[:evicted]
+        if evicted > 0 and self.perf is not None:
+            self.perf.cache("worker.replicas").evict(evicted)
+
+    def take(self, identity: str) -> list | None:
+        with self._lock:
+            for idx in range(len(self._entries) - 1, -1, -1):
+                if self._entries[idx][0] == identity:
+                    return self._entries.pop(idx)[1]
+        return None
+
+    def replicas(self) -> list:
+        """The idle replicas, least recently released first."""
+        with self._lock:
+            return [entry[0] for _, entry in self._entries]
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
 
 class _ReplicaTable:
     """Job → payload, plus each job's replica, built on its first chunk
@@ -267,21 +344,35 @@ class _ReplicaTable:
     unpickled spec's model instance is scored in place, with no copy,
     unless another job in the table holds the same instance or the job
     loads a state dict into it; then the replica deep-copies it first.
+
+    With an ``idle`` set (:class:`_IdleReplicas`), :meth:`release`
+    keeps a finished job's replica there under its
+    :func:`replica_identity`, and a later job with the same identity
+    takes it instead of building one.  A replica whose evaluation
+    raised is never kept.  Each build counts a ``worker.replicas`` miss
+    and each reuse a hit, in the replica's registry, so both reach the
+    job's perf with its first chunk.
     """
 
-    def __init__(self, payloads: dict, blobs=None, fetch=None) -> None:
+    def __init__(self, payloads: dict, blobs=None, fetch=None,
+                 idle: _IdleReplicas | None = None) -> None:
         self.payloads = payloads
-        #: job → [replica, its registry, the registry's last snapshot]
+        #: job → [replica, its registry, the registry's last snapshot,
+        #: its identity (None: never reused)]
         self.replicas: dict[str, list] = {}
         self.blobs = blobs
         self._fetch = fetch
+        self.idle = idle
 
     def add(self, job: str, payload) -> None:
         self.payloads[job] = payload
 
     def release(self, job: str) -> None:
         self.payloads.pop(job, None)
-        self.replicas.pop(job, None)
+        entry = self.replicas.pop(job, None)
+        if entry is not None and entry[3] is not None \
+                and self.idle is not None:
+            self.idle.put(entry[3], entry)
 
     def keep(self, live) -> None:
         """Release every job not in ``live``."""
@@ -311,15 +402,25 @@ class _ReplicaTable:
         try:
             spec = self.payloads[job]
             copy = False
+            identity = None
             if isinstance(spec, dict):
                 from ..spec.wire import decode_job
 
+                if self.idle is not None:
+                    identity = replica_identity(spec)
+                    entry = self.idle.take(identity) if identity else None
+                    if entry is not None:
+                        entry[2] = entry[1].snapshot()
+                        entry[1].cache("worker.replicas").hit()
+                        self.replicas[job] = entry
+                        return entry
                 spec = decode_job(spec, blobs=self.blobs, fetch=self._fetch)
             else:
                 copy = self._copies(job, spec)
             registry = PerfRegistry()
             replica = spec.build(perf=registry, copy_model=copy)
-            entry = [replica, registry, registry.snapshot()]
+            entry = [replica, registry, registry.snapshot(), identity]
+            registry.cache("worker.replicas").miss()
         except Exception as exc:
             raise RuntimeError(
                 f"evaluator replica for job {job!r} failed to "
@@ -334,6 +435,7 @@ class _ReplicaTable:
         ``None`` or the failure's traceback and the other two are then
         ``None``."""
         start = time.perf_counter()
+        entry = None
         try:
             entry = self._replica(job)
             fits = entry[0].evaluate_many(solutions)
@@ -342,6 +444,8 @@ class _ReplicaTable:
             entry[2] = snap
             return fits, delta, time.perf_counter() - start, None
         except Exception:  # lint: disable=broad-except -- worker boundary: failures travel home as error tuples
+            if entry is not None:
+                entry[3] = None  # its model may be mid-mutation
             return (
                 None, None, time.perf_counter() - start,
                 traceback.format_exc(),
@@ -374,8 +478,9 @@ def _init_shared_worker(jobs: dict, blob_table: dict | None = None) -> None:
     # plain assignments first: a raising initializer would respawn
     # workers forever, so payload decoding and replica construction are
     # deferred to the first task per job, and a blob-table attach
-    # failure is parked for the task to report
-    _WORKER_TABLE = _ReplicaTable(jobs)
+    # failure is parked for the task to report.  Each worker process
+    # keeps its own idle replicas for the pool's life.
+    _WORKER_TABLE = _ReplicaTable(jobs, idle=_IdleReplicas())
     _WORKER_BLOBS_ERROR = None
     one_blas_thread()
     if blob_table:
@@ -391,7 +496,8 @@ def _evaluate_shared_chunk(job: str, solutions, live=None, added=None):
     """Score ``solutions`` on this worker's replica of ``job``.
 
     ``live`` (the jobs the pool still holds) makes the worker first
-    drop the replica and payload of every other job; ``added`` is the
+    release every other job, whose replica then waits idle for a later
+    job with the same evaluator identity; ``added`` is the
     ``(wire, blob table)`` of a job that joined the pool after start.
     """
     table = _WORKER_TABLE

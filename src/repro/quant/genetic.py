@@ -50,6 +50,14 @@ class LPQConfig:
     blockwise: bool = True
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # Step 2 pairs the best candidate with the runner-up, so a
+        # smaller population cannot run a single GA step
+        if self.population < 2:
+            raise ValueError(
+                f"population must be at least 2, got {self.population}"
+            )
+
     def to_dict(self) -> dict:
         """Plain-JSON dict form (used by :class:`repro.spec.SearchSpec`)."""
         from ..spec.serde import config_to_dict

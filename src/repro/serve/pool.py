@@ -150,9 +150,11 @@ class WorkerPool(abc.ABC):
         )
 
     def release(self, job: str) -> None:
-        """``job`` is finished: drop the replica the pool keeps for it,
-        so a pool's memory follows the jobs in flight, not every job it
-        has served.  Unknown jobs are ignored.  No-op by default."""
+        """``job`` is finished: the workers give up its replica (a
+        socket or process worker keeps it idle, within a fixed bound,
+        for a later job with the same evaluator), so a pool's memory
+        follows the jobs in flight, not every job it has served.
+        Unknown jobs are ignored.  No-op by default."""
 
     def membership(self) -> list[dict]:
         """Per-worker liveness/queue facts for fleet status views.
@@ -223,8 +225,8 @@ class SharedProcessPool(WorkerPool):
     ``transport.bytes_saved`` record the shipped and displaced volume.
 
     The pool cannot address one worker, so every task carries the
-    names of the jobs the pool still holds, and a worker drops the
-    replica and payload of any other job before it evaluates.  For the
+    names of the jobs the pool still holds, and a worker releases any
+    other job before it evaluates.  For the
     same reason a job added to the live pool (:meth:`add`) travels with
     each of its tasks: its wire payload plus the transport table of the
     blobs it references, which a worker registers on first sight.

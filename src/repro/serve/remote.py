@@ -65,7 +65,7 @@ from ..obs import MetricsEmitter, get_hub
 from ..parallel import EvaluatorSpec, ExecutorConfig, parse_address
 from ..parallel._blas import one_blas_thread
 from ..parallel._fingerprint import numerics_fingerprint
-from ..parallel.executor import _ReplicaTable
+from ..parallel.executor import _IdleReplicas, _ReplicaTable
 from ..perf import PerfRegistry
 from ..spec import registry as spec_registry
 from ..spec.blob import BlobStore, get_blob_store
@@ -147,10 +147,12 @@ class _WorkerSession(threading.Thread):
     The reader thread (this thread) stays responsive — it answers pings
     and enqueues tasks — while a dedicated evaluator thread works
     through the task queue, so liveness checks succeed even mid-chunk.
-    Job replicas are session-scoped: two clients registering the same
+    Job names are session-scoped: two clients registering the same
     job name cannot collide.  A ``release`` frame joins the task queue,
-    so a finished job's replica and payload go once its earlier tasks
-    are done.
+    so a finished job's payload goes once its earlier tasks are done,
+    and its replica joins the server's idle set
+    (:attr:`WorkerServer.idle_replicas`), where a later job of any
+    session with the same evaluator identity takes it.
     """
 
     def __init__(self, server: "WorkerServer", sock: socket.socket,
@@ -162,7 +164,8 @@ class _WorkerSession(threading.Thread):
         self._send_lock = threading.Lock()
         self._tasks: queue.SimpleQueue = queue.SimpleQueue()
         self._table = _ReplicaTable({}, blobs=server.blobs,
-                                    fetch=self._fetch_blob)
+                                    fetch=self._fetch_blob,
+                                    idle=server.idle_replicas)
         self._blob_lock = threading.Lock()
         #: digest → set by the reader thread when its blob_put arrives;
         #: the evaluator thread waits on these for fetch-on-miss
@@ -319,7 +322,7 @@ class _WorkerSession(threading.Thread):
     def _evaluate_loop(self) -> None:
         while True:
             message = self._tasks.get()
-            if message is None or self._closed:
+            if message is None:
                 return
             if message is _DRAIN:
                 # every chunk accepted before the drain signal has been
@@ -328,8 +331,13 @@ class _WorkerSession(threading.Thread):
                 self.close()
                 return
             if message["type"] == "release":
+                # even on a closed session: a pool sends its last job's
+                # release just before it says bye, and the replica
+                # should still go idle for the next busy period
                 self._table.release(message["job"])
                 continue
+            if self._closed:
+                return
             self.server._task_started()
             chaos = self.server.chaos
             events = chaos.on_task(self.server) if chaos is not None else ()
@@ -368,7 +376,13 @@ class WorkerServer:
     """A standalone LPQ evaluation worker behind a TCP socket.
 
     Long-lived: serves any number of client connections (sequentially
-    or concurrently), each with its own session-scoped job replicas.
+    or concurrently), each with its own session-scoped job table.  A
+    finished job's replica stays idle, caches dropped, in
+    :attr:`idle_replicas`, shared by every session, so the next job
+    with the same model, calibration batch, fitness config, objective,
+    activation mode and layer statistics skips the build (the daemon
+    redials once per busy period, so a per-session set would never
+    hit).
     ``port=0`` binds an ephemeral port — read it back from
     :attr:`address`.  ``token`` (optional) is a shared secret every
     client must echo in its hello frame; mismatches are refused before
@@ -408,6 +422,9 @@ class WorkerServer:
         #: in-process fleet's samples are not polluted by (or polluting)
         #: the host process's ambient registry
         self.perf = perf if perf is not None else PerfRegistry()
+        #: finished jobs' replicas, shared by every session; evictions
+        #: count into :attr:`perf`
+        self.idle_replicas = _IdleReplicas(perf=self.perf)
         #: sampling interval for the live metrics stream; 0 = off
         self.metrics_interval = float(metrics_interval)
         self._emitter: MetricsEmitter | None = None
@@ -545,11 +562,12 @@ class WorkerServer:
         self.stop()
 
     def drop_caches(self) -> None:
-        """Forget every cached blob and decoded job replica, as a
-        restarted worker (without an on-disk blob cache) would have:
-        the next task on any live session rebuilds its replica through
-        the ``blob_get`` fetch-on-miss frames."""
+        """Forget every cached blob and decoded job replica, idle ones
+        included, as a restarted worker (without an on-disk blob cache)
+        would have: the next task on any live session rebuilds its
+        replica through the ``blob_get`` fetch-on-miss frames."""
         self.blobs.clear()
+        self.idle_replicas.clear()
         with self._lock:
             sessions = list(self._sessions)
         for session in sessions:

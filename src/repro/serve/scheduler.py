@@ -42,6 +42,7 @@ import itertools
 import queue
 import threading
 import traceback
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..parallel import EvaluatorSpec, ExecutorConfig
@@ -64,6 +65,9 @@ _DEFAULT_OBJECTIVE = "global_local_contrastive"
 
 #: weight of the newest chunk in a job's per-candidate cost estimate
 COST_EWMA = 0.5
+
+#: layer statistics a scheduler keeps per (model ref, CalibSpec)
+STATS_MEMO_ENTRIES = 16
 
 
 class SearchHandle:
@@ -218,7 +222,8 @@ class SearchScheduler:
     (``None``: all of them); the rest start as jobs end, higher
     ``priority`` first and ties in submission order.  Every pool worker
     holds one evaluator replica per job it has served until that job
-    ends, so the bound caps worker memory on long sweeps.
+    ends (then at most a few idle ones for later jobs with the same
+    evaluator), so the bound caps worker memory on long sweeps.
 
     Submit jobs, then call :meth:`run`; per-job :class:`SearchHandle`
     futures resolve to :class:`~repro.quant.LPQResult` values that are
@@ -299,6 +304,9 @@ class SearchScheduler:
         #: the shared pool of the current :meth:`run` call (None between
         #: runs); :meth:`stats` reads its worker count and membership
         self._pool = None
+        #: (model ref, CalibSpec) → LayerStats of declarative jobs,
+        #: least recently used first; only the run() thread touches it
+        self._stats_memo: OrderedDict = OrderedDict()
 
     # -- job submission --------------------------------------------------
     def submit(
@@ -601,12 +609,7 @@ class SearchScheduler:
         try:
             espec = st.spec
             if espec.stats is None:  # the caller did not precollect them
-                # a job's own state dict must not land in the caller's
-                # instance, so a stateful instance is copied first
-                espec.stats = collect_layer_stats(
-                    espec._model(copy_model=espec.state is not None),
-                    espec.images,
-                )
+                espec.stats = self._layer_stats(st, espec)
             st.stats = espec.stats
             st.engine = LPQEngine(
                 None, st.stats.weight_log_centers, st.config, perf=st.perf
@@ -615,6 +618,28 @@ class SearchScheduler:
             self._finalize_failed(st, traceback.format_exc())
             return False
         return True
+
+    def _layer_stats(self, st: _JobState, espec: EvaluatorSpec):
+        """Collect a job's layer statistics, memoized for declarative
+        jobs: a registered model and a calibration descriptor name the
+        same statistics every time."""
+        key = None
+        if st.search is not None:
+            key = (st.search.model, st.search.calib)
+            stats = self._stats_memo.get(key)
+            if stats is not None:
+                self._stats_memo.move_to_end(key)
+                return stats
+        # a job's own state dict must not land in the caller's
+        # instance, so a stateful instance is copied first
+        stats = collect_layer_stats(
+            espec._model(copy_model=espec.state is not None), espec.images
+        )
+        if key is not None:
+            self._stats_memo[key] = stats
+            while len(self._stats_memo) > STATS_MEMO_ENTRIES:
+                self._stats_memo.popitem(last=False)
+        return stats
 
     # -- per-job driving -------------------------------------------------
     def _start_job(self, st: _JobState, pool) -> int:
@@ -626,8 +651,6 @@ class SearchScheduler:
         number of chunks submitted (0 = job reached a terminal state)."""
         try:
             batch = next(st.gen) if fits is None else st.gen.send(fits)
-            if not batch:  # nothing to score: a population of 0
-                raise ValueError("the search proposed an empty batch")
         except StopIteration:
             self._finalize_done(st)
             return 0

@@ -35,6 +35,7 @@ ValueError: unsupported SearchSpec version 99 (supported: 1)
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -61,6 +62,17 @@ SPEC_VERSION = 1
 #: sentinel objective name meaning "the paper's FitnessEvaluator"
 _DEFAULT_OBJECTIVE = "global_local_contrastive"
 
+#: calibration batches :meth:`CalibSpec.build` keeps per process
+CALIB_MEMO_ENTRIES = 8
+
+
+@functools.lru_cache(maxsize=CALIB_MEMO_ENTRIES)
+def _calib_batch(source, batch: int, seed: int):
+    # a read-only view: the source's own array stays writable
+    images = source(batch, seed).view()
+    images.flags.writeable = False
+    return images
+
 
 @dataclass(frozen=True)
 class CalibSpec:
@@ -85,8 +97,20 @@ class CalibSpec:
         return config_from_dict(cls, data)
 
     def build(self):
-        """Materialize the calibration batch."""
-        return registry.resolve("calib", self.source)(self.batch, self.seed)
+        """Materialize the calibration batch, as a read-only array.
+
+        A descriptor names its batch (the digest-keyed result store
+        relies on that too), so the last :data:`CALIB_MEMO_ENTRIES`
+        batches are memoized per process, keyed by the resolved source
+        callable, ``batch`` and ``seed``.
+
+        >>> calib = CalibSpec(batch=2, seed=3)
+        >>> calib.build() is calib.build(), calib.build().flags.writeable
+        (True, False)
+        """
+        return _calib_batch(
+            registry.resolve("calib", self.source), self.batch, self.seed
+        )
 
 
 def reject_spec_conflicts(

@@ -10,13 +10,19 @@ Depthwise runs the same ``einsum`` in both, so it must match bit for
 bit.  Dense and grouped reorder the GEMM (BLAS may block the two shapes
 differently), so they must match to a few ulp of each output's
 magnitude sum ``|w| * |x|``.
+
+``pad2d`` allocates zeros and copies its input into the interior once;
+the ``np.pad`` call it replaced is the reference ``_pad2d`` below, and
+the two must agree bit for bit.
 """
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import as_strided
 
-from repro.nn.functional import conv2d_forward
+from repro.nn.functional import conv2d_forward, pad2d
+
+from .._bits import assert_bits_equal
 
 
 # -- the reference kernel ------------------------------------------------
@@ -163,3 +169,35 @@ def test_non_contiguous_input():
     want, _ = conv2d_forward(np.ascontiguousarray(x), w, None, 1, 1, 1)
     np.testing.assert_array_equal(got, want)
 
+
+
+# -- pad2d against np.pad --------------------------------------------------
+def _special(dtype):
+    """An NCHW tensor holding ±0.0, ±inf and NaNs of both signs among
+    normal values."""
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((2, 3, 5, 6)).astype(dtype)
+    flat = x.reshape(-1)
+    flat[:8] = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0]
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("pad", [0, 1, 2, 3])
+def test_pad2d_matches_np_pad(dtype, pad):
+    x = _special(dtype)
+    got = pad2d(x, pad)
+    assert_bits_equal(got, _pad2d(x, pad))
+    assert got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("pad", [1, 2, 3])
+def test_pad2d_non_contiguous_inputs(dtype, pad):
+    """Channel-strided, spatially strided and transposed views pad to
+    the bits of ``np.pad`` on the same view."""
+    base = np.concatenate([_special(dtype)] * 2, axis=1)
+    for x in (base[:, ::2], base[:, :, ::2, 1::2],
+              base.transpose(0, 1, 3, 2)):
+        assert not x.flags.c_contiguous
+        assert_bits_equal(pad2d(x, pad), _pad2d(x, pad))

@@ -201,13 +201,19 @@ class TestSearchFailure:
         assert "Traceback" in message
         assert "injected failure: training-mode forward" in message
 
-    def test_empty_population_fails_the_job(self, serve_setup):
-        """A population of 0 proposes an empty first batch: the job
-        fails at once instead of waiting for chunks that never come."""
-        _, mlp, images = serve_setup
-        config = dataclasses.replace(SEARCH, population=0)
-        with pytest.raises(RuntimeError, match="empty batch"):
-            lpq_quantize(mlp, images, config=config)
+    def test_empty_population_fails_the_job(self):
+        """A population below 2 cannot run a GA step (Step 2 pairs the
+        best two), so its config is refused where it is built, before
+        any job exists: directly, through ``dataclasses.replace`` and
+        from a spec's JSON form."""
+        for population in (0, 1):
+            with pytest.raises(ValueError, match="at least 2"):
+                dataclasses.replace(SEARCH, population=population)
+            with pytest.raises(ValueError, match="at least 2"):
+                SearchSpec.from_dict({
+                    "model": "tiny:mlp",
+                    "config": {**SEARCH.to_dict(), "population": population},
+                })
 
 
 CONFIG =LPQConfig(population=3, passes=1, cycles=1, block_size=2,

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.parallel import ExecutorConfig
+from repro.parallel.executor import IDLE_REPLICAS
 from repro.perf import PerfRegistry
 from repro.quant import lpq_quantize
 from repro.serve.remote import (
@@ -299,6 +300,11 @@ class TestClientProtocol:
         with pytest.raises(ServerError, match="invalid spec"):
             client._request({"type": "submit",
                              "spec": {"model": 42, "wormhole": True}})
+        # a population below 2 could never run a GA step: refused here
+        spec = _spec(10).to_dict()
+        spec["config"]["population"] = 1
+        with pytest.raises(ServerError, match="population must be at least 2"):
+            client._request({"type": "submit", "spec": spec})
         with pytest.raises(ServerError, match="unknown job"):
             client.status("never-submitted")
         with pytest.raises(ServerError, match="is queued|unknown job"):
@@ -449,7 +455,8 @@ class TestContinuousAdmission:
 class TestBoundsSoak:
     """Twelve tiny jobs in three bursts through one daemon over a
     two-worker fleet: one dial per worker per busy period, no worker
-    session holding more replicas than there are jobs in flight, a
+    session holding more replicas than there are jobs in flight, idle
+    replicas within their bound and stripped of cached tensors, a
     scheduler that holds no finished job, and a thread count that
     levels off."""
 
@@ -507,6 +514,8 @@ class TestBoundsSoak:
                     for j in server.fleet_status()["jobs"]
                 }
                 assert all(states[name] == "done" for name in names)
+                for worker in workers:
+                    _assert_idle_replicas_bounded(worker)
                 threads.append(_settled_thread_count())
         finally:
             burst_ready.set()
@@ -519,6 +528,25 @@ class TestBoundsSoak:
         assert counts["connects"] == len(workers) * counts["runs"]
         assert replicas and max(replicas) <= cap
         assert threads[-1] <= threads[0], threads
+        # jobs of one identity take finished jobs' replicas
+        assert sum(
+            w.perf.cache("worker.replicas").hits for w in workers
+        ) > 0
+
+
+def _assert_idle_replicas_bounded(worker) -> None:
+    """A worker keeps at most IDLE_REPLICAS idle replicas, and an idle
+    replica holds no cached tensor: only its model, calibration images
+    and FP references."""
+    idle = worker.idle_replicas.replicas()
+    assert len(idle) <= IDLE_REPLICAS
+    for replica in idle:
+        evaluator = replica.evaluator
+        assert len(evaluator._weight_cache) == 0
+        assert len(evaluator._act_cache) == 0
+        assert not evaluator._forward_cache._records
+        assert evaluator._ref_cfg is None
+        assert all(c is None for c in getattr(evaluator, "_col_cache", []))
 
 
 def _session_replicas(worker) -> list[set]:

@@ -234,3 +234,37 @@ class TestSerdeErrors:
 
         with pytest.raises(ValueError, match="CalibSpec"):
             SearchSpec(model="tiny:mlp", calib=np.zeros((1, 3, 8, 8)))
+
+
+class TestCalibMemo:
+    """``CalibSpec.build`` memoizes its batches per process: read-only,
+    bitwise the source's, and bounded."""
+
+    def test_memoized_batch_is_the_sources_read_only(self):
+        from repro.data import calibration_batch
+
+        calib = CalibSpec(batch=6, seed=12)
+        images = calib.build()
+        assert calib.build() is images
+        assert CalibSpec.from_dict(calib.to_dict()).build() is images
+        assert not images.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            images[0, 0, 0, 0] = 1.0
+        want = calibration_batch(6, 12)
+        assert want.flags.writeable
+        assert images.dtype == want.dtype and images.shape == want.shape
+        np.testing.assert_array_equal(
+            images.view(np.uint8), want.view(np.uint8)
+        )
+
+    def test_memo_is_bounded(self):
+        from repro.spec import spec as spec_module
+
+        first = CalibSpec(batch=2, seed=1000).build()
+        for seed in range(1001, 1001 + spec_module.CALIB_MEMO_ENTRIES):
+            CalibSpec(batch=2, seed=seed).build()
+        info = spec_module._calib_batch.cache_info()
+        assert info.currsize == info.maxsize == spec_module.CALIB_MEMO_ENTRIES
+        again = CalibSpec(batch=2, seed=1000).build()
+        assert again is not first  # evicted, rebuilt
+        np.testing.assert_array_equal(again, first)
