@@ -20,6 +20,8 @@ __all__ = ["MultiHeadSelfAttention", "WindowAttention"]
 class MultiHeadSelfAttention(Module):
     """Standard MHSA: qkv projection, scaled dot-product, output proj."""
 
+    _forward_state = ("_cache",)
+
     def __init__(self, dim: int, num_heads: int) -> None:
         super().__init__()
         if dim % num_heads:

@@ -60,6 +60,8 @@ class QuantizableMixin:
 class Linear(Module, QuantizableMixin):
     """Affine map on the last axis: ``y = x @ W.T + b``."""
 
+    _forward_state = ("_cache_x",)
+
     def __init__(self, in_features: int, out_features: int, bias: bool = True) -> None:
         super().__init__()
         self.in_features = in_features
@@ -92,6 +94,8 @@ class Linear(Module, QuantizableMixin):
 
 class Conv2d(Module, QuantizableMixin):
     """Grouped 2-D convolution on NCHW tensors."""
+
+    _forward_state = ("_cache",)
 
     def __init__(
         self,
@@ -160,6 +164,8 @@ class Conv2d(Module, QuantizableMixin):
 class BatchNorm2d(Module):
     """Per-channel batch normalization with running statistics."""
 
+    _forward_state = ("_cache",)
+
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1) -> None:
         super().__init__()
         self.channels = channels
@@ -213,6 +219,8 @@ class BatchNorm2d(Module):
 class LayerNorm(Module):
     """Normalization over the last axis (transformer-style)."""
 
+    _forward_state = ("_cache",)
+
     def __init__(self, dim: int, eps: float = 1e-5) -> None:
         super().__init__()
         self.dim = dim
@@ -246,6 +254,8 @@ class LayerNorm(Module):
 
 
 class ReLU(Module):
+    _forward_state = ("_out",)
+
     def __init__(self) -> None:
         super().__init__()
         self._out: np.ndarray | None = None
@@ -264,6 +274,8 @@ class ReLU(Module):
 
 
 class GELU(Module):
+    _forward_state = ("_x",)
+
     def __init__(self) -> None:
         super().__init__()
         self._x: np.ndarray | None = None
@@ -279,6 +291,8 @@ class GELU(Module):
 
 class MaxPool2d(Module):
     """Non-overlapping max pooling (kernel == stride)."""
+
+    _forward_state = ("_cache",)
 
     def __init__(self, kernel_size: int) -> None:
         super().__init__()
@@ -346,6 +360,8 @@ class Flatten(Module):
 
 
 class Dropout(Module):
+    _forward_state = ("_mask",)
+
     def __init__(self, p: float = 0.1) -> None:
         super().__init__()
         if not 0 <= p < 1:

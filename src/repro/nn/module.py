@@ -43,6 +43,9 @@ class Module:
     attributes are discovered automatically.
     """
 
+    #: attributes where ``forward`` keeps what ``backward`` needs
+    _forward_state: tuple[str, ...] = ()
+
     def __init__(self) -> None:
         self.training = True
         #: callables invoked as hook(module, output) after forward
@@ -79,6 +82,15 @@ class Module:
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad()
+
+    def drop_forward_state(self) -> None:
+        """Forget what every module's last ``forward`` kept for its
+        ``backward`` (inputs, activations, normalized tensors): a model
+        that only runs forward again holds just its parameters and
+        buffers."""
+        for _, m in self.named_modules():
+            for name in m._forward_state:
+                setattr(m, name, None)
 
     # -- training mode ------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":

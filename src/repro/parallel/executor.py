@@ -259,7 +259,9 @@ class SerialExecutor:
 # own* chunks (the error travels back inside the result tuple); the
 # worker survives and keeps serving other jobs.
 
-#: finished jobs' replicas a worker keeps idle for later jobs
+#: finished jobs' replicas a worker keeps idle for later jobs: the
+#: daemon benchmark's 2 clients over 2 evaluator identities reuse 4 per
+#: worker (hit rate 0.98; at a bound of 2 it fell to 0.16-0.66)
 IDLE_REPLICAS = 4
 
 #: the ``"search"`` payload fields a replica is built from; the GA
@@ -267,15 +269,18 @@ IDLE_REPLICAS = 4
 _IDENTITY_FIELDS = ("model", "calib", "fitness", "objective", "act_sf_mode")
 
 
-def replica_identity(payload) -> str | None:
+def replica_identity(payload) -> tuple | None:
     """The evaluator identity of a job payload, or ``None`` for a
     payload whose replica is never reused.
 
     Only ``"search"`` wire payloads have one: a hash of the spec's
     model, calibration, fitness, objective and activation-mode fields
-    plus the encoded layer statistics.  An ``"evaluator"`` payload
-    carries live or pickled models and state dicts, and a live spec
-    (serial pool) is the caller's own object, so neither reuses.
+    plus the encoded layer statistics, next to the model builder and
+    calibration source those names resolve to in this process, so a
+    name registered again (``replace=True``) builds afresh.  An
+    ``"evaluator"`` payload carries live or pickled models and state
+    dicts, and a live spec (serial pool) is the caller's own object, so
+    neither reuses.
     """
     if not isinstance(payload, dict) or payload.get("kind") != "search":
         return None
@@ -284,7 +289,11 @@ def replica_identity(payload) -> str | None:
               payload.get("stats")]
     fields += [search.get(name) for name in _IDENTITY_FIELDS]
     text = json.dumps(fields, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return (
+        hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        spec_registry.resolve("model", search["model"]),
+        spec_registry.resolve("calib", search["calib"]["source"]),
+    )
 
 
 class _IdleReplicas:
@@ -292,8 +301,9 @@ class _IdleReplicas:
     evaluator identity: at most :data:`IDLE_REPLICAS`, the least
     recently released dropped first.
 
-    :meth:`put` drops the replica's caches first, so an idle replica
-    holds only its model, calibration images and FP references.
+    :meth:`put` drops the replica's evaluation caches and its model's
+    forward state first, so an idle replica holds only its model's
+    parameters, calibration images and FP references.
     :meth:`take` hands a replica to one job and removes it from the
     set, so no two jobs share one.  Thread-safe: one set serves every
     session of a socket worker.  ``perf`` (optional) counts the
@@ -304,11 +314,13 @@ class _IdleReplicas:
     def __init__(self, perf=None) -> None:
         self.perf = perf
         #: (identity, table entry), least recently released first
-        self._entries: list[tuple[str, list]] = []
+        self._entries: list[tuple[tuple, list]] = []
         self._lock = threading.Lock()
 
-    def put(self, identity: str, entry: list) -> None:
-        entry[0].evaluator.reset_caches()
+    def put(self, identity: tuple, entry: list) -> None:
+        evaluator = entry[0].evaluator
+        evaluator.reset_caches()
+        evaluator.model.drop_forward_state()
         with self._lock:
             self._entries.append((identity, entry))
             evicted = len(self._entries) - IDLE_REPLICAS
@@ -317,7 +329,7 @@ class _IdleReplicas:
         if evicted > 0 and self.perf is not None:
             self.perf.cache("worker.replicas").evict(evicted)
 
-    def take(self, identity: str) -> list | None:
+    def take(self, identity: tuple) -> list | None:
         with self._lock:
             for idx in range(len(self._entries) - 1, -1, -1):
                 if self._entries[idx][0] == identity:

@@ -377,12 +377,12 @@ class WorkerServer:
 
     Long-lived: serves any number of client connections (sequentially
     or concurrently), each with its own session-scoped job table.  A
-    finished job's replica stays idle, caches dropped, in
-    :attr:`idle_replicas`, shared by every session, so the next job
-    with the same model, calibration batch, fitness config, objective,
-    activation mode and layer statistics skips the build (the daemon
-    redials once per busy period, so a per-session set would never
-    hit).
+    finished job's replica stays idle, caches and forward state
+    dropped, in :attr:`idle_replicas`, shared by every session, so the
+    next job with the same model, calibration batch, fitness config,
+    objective, activation mode and layer statistics skips the build
+    (the daemon redials once per busy period, so a per-session set
+    would never hit).
     ``port=0`` binds an ephemeral port — read it back from
     :attr:`address`.  ``token`` (optional) is a shared secret every
     client must echo in its hello frame; mismatches are refused before

@@ -42,7 +42,6 @@ import itertools
 import queue
 import threading
 import traceback
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..parallel import EvaluatorSpec, ExecutorConfig
@@ -65,9 +64,6 @@ _DEFAULT_OBJECTIVE = "global_local_contrastive"
 
 #: weight of the newest chunk in a job's per-candidate cost estimate
 COST_EWMA = 0.5
-
-#: layer statistics a scheduler keeps per (model ref, CalibSpec)
-STATS_MEMO_ENTRIES = 16
 
 
 class SearchHandle:
@@ -304,9 +300,6 @@ class SearchScheduler:
         #: the shared pool of the current :meth:`run` call (None between
         #: runs); :meth:`stats` reads its worker count and membership
         self._pool = None
-        #: (model ref, CalibSpec) → LayerStats of declarative jobs,
-        #: least recently used first; only the run() thread touches it
-        self._stats_memo: OrderedDict = OrderedDict()
 
     # -- job submission --------------------------------------------------
     def submit(
@@ -609,7 +602,12 @@ class SearchScheduler:
         try:
             espec = st.spec
             if espec.stats is None:  # the caller did not precollect them
-                espec.stats = self._layer_stats(st, espec)
+                # a job's own state dict must not land in the caller's
+                # instance, so a stateful instance is copied first
+                espec.stats = collect_layer_stats(
+                    espec._model(copy_model=espec.state is not None),
+                    espec.images,
+                )
             st.stats = espec.stats
             st.engine = LPQEngine(
                 None, st.stats.weight_log_centers, st.config, perf=st.perf
@@ -618,28 +616,6 @@ class SearchScheduler:
             self._finalize_failed(st, traceback.format_exc())
             return False
         return True
-
-    def _layer_stats(self, st: _JobState, espec: EvaluatorSpec):
-        """Collect a job's layer statistics, memoized for declarative
-        jobs: a registered model and a calibration descriptor name the
-        same statistics every time."""
-        key = None
-        if st.search is not None:
-            key = (st.search.model, st.search.calib)
-            stats = self._stats_memo.get(key)
-            if stats is not None:
-                self._stats_memo.move_to_end(key)
-                return stats
-        # a job's own state dict must not land in the caller's
-        # instance, so a stateful instance is copied first
-        stats = collect_layer_stats(
-            espec._model(copy_model=espec.state is not None), espec.images
-        )
-        if key is not None:
-            self._stats_memo[key] = stats
-            while len(self._stats_memo) > STATS_MEMO_ENTRIES:
-                self._stats_memo.popitem(last=False)
-        return stats
 
     # -- per-job driving -------------------------------------------------
     def _start_job(self, st: _JobState, pool) -> int:

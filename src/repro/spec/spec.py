@@ -62,8 +62,9 @@ SPEC_VERSION = 1
 #: sentinel objective name meaning "the paper's FitnessEvaluator"
 _DEFAULT_OBJECTIVE = "global_local_contrastive"
 
-#: calibration batches :meth:`CalibSpec.build` keeps per process
-CALIB_MEMO_ENTRIES = 8
+#: calibration batches :meth:`CalibSpec.build` keeps per process: a
+#: sweep or a daemon's job stream renders one descriptor again and again
+CALIB_MEMO_ENTRIES = 1
 
 
 @functools.lru_cache(maxsize=CALIB_MEMO_ENTRIES)

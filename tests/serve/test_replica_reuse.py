@@ -9,7 +9,9 @@ same identity takes it instead of building one.  These tests pin:
 * reuse moves no bit: back-to-back jobs through one socket worker each
   equal their serial run, and the second counts a ``worker.replicas``
   hit;
-* any identity field that differs builds a new replica;
+* any identity field that differs builds a new replica, and so does a
+  model name registered again;
+* an idle replica holds no evaluation cache and no forward state;
 * a replica whose evaluation raised, an ``"evaluator"`` payload and a
   table without an idle set never reuse;
 * the idle set stays within :data:`IDLE_REPLICAS` and counts evictions.
@@ -30,7 +32,7 @@ from repro.perf import PerfRegistry
 from repro.quant import FitnessConfig, lpq_quantize
 from repro.serve import SearchScheduler
 from repro.serve.remote import WorkerServer
-from repro.spec import CalibSpec, SearchSpec
+from repro.spec import CalibSpec, SearchSpec, registry
 from repro.spec.wire import encode_job
 
 from .conftest import SEARCH
@@ -154,6 +156,24 @@ class TestIdentity:
         stats = dict(base, stats=None)
         assert replica_identity(stats) != identity
 
+    def test_a_name_registered_again_is_another_identity(self):
+        from repro.models.tiny import tiny_mlp
+
+        def rebuilt():
+            return tiny_mlp()
+
+        models = registry.registry("model")
+        try:
+            registry.register("model", "test:reuse", tiny_mlp)
+            _, payload = _payload(_search(model="test:reuse"))
+            identity = replica_identity(payload)
+            assert replica_identity(payload) == identity
+            registry.register("model", "test:reuse", rebuilt, replace=True)
+            assert replica_identity(payload) != identity
+        finally:
+            # global registries outlive the test; leave no trace
+            models._entries.pop("test:reuse", None)
+
     def test_payloads_that_never_reuse(self):
         espec, _ = _payload(_search())
         assert replica_identity(encode_job(espec)) is None  # "evaluator"
@@ -170,6 +190,8 @@ class TestReplicaTable:
         table.run("a", solutions[:2])
         table.release("a")
         (replica,) = table.idle.replicas()
+        assert len(replica.evaluator._weight_cache) == 0
+        assert not _forward_state(replica.evaluator.model)
         table.add("b", payload)
         got = table.run("b", solutions)
         assert table.replicas["b"][0] is replica
@@ -206,13 +228,25 @@ class TestReplicaTable:
         assert (stats["hits"], stats["misses"]) == (0, 1)
 
 
+def _forward_state(model) -> list[str]:
+    """The modules of ``model`` that still hold forward state."""
+    return [
+        name for name, module in model.named_modules()
+        if any(getattr(module, attr) is not None
+               for attr in module._forward_state)
+    ]
+
+
 class _Stub:
     def __init__(self):
-        self.evaluator = self
-        self.resets = 0
+        self.evaluator = self.model = self
+        self.resets = self.drops = 0
 
     def reset_caches(self):
         self.resets += 1
+
+    def drop_forward_state(self):
+        self.drops += 1
 
 
 class TestIdleBound:
@@ -220,13 +254,15 @@ class TestIdleBound:
         perf = PerfRegistry()
         idle = _IdleReplicas(perf=perf)
         stubs = [_Stub() for _ in range(IDLE_REPLICAS + 2)]
-        for idx, stub in enumerate(stubs):
-            idle.put(f"id{idx % 3}", [stub])
-        assert all(stub.resets == 1 for stub in stubs)
+        # the last IDLE_REPLICAS stubs stay: one "a", then all "b"
+        ids = ["a"] * 3 + ["b"] * (IDLE_REPLICAS - 1)
+        for identity, stub in zip(ids, stubs):
+            idle.put(identity, [stub])
+        assert all(stub.resets == stub.drops == 1 for stub in stubs)
         assert idle.replicas() == stubs[2:]
         assert perf.cache("worker.replicas").evictions == 2
         # exclusive checkout, most recently released first
-        assert idle.take("id0") == [stubs[3]]
-        assert idle.take("id0") is None
-        assert idle.take("id2") == [stubs[5]]
-        assert idle.replicas() == [stubs[2], stubs[4]]
+        assert idle.take("a") == [stubs[2]]
+        assert idle.take("a") is None
+        assert idle.take("b") == [stubs[-1]]
+        assert idle.replicas() == stubs[3:-1]

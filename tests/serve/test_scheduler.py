@@ -434,42 +434,3 @@ class TestContinuousAdmission:
         assert scheduler.stats()["jobs"]["cnn"]["evaluations"] \
             == result.evaluations
 
-
-class TestStatsMemo:
-    def test_declarative_jobs_share_layer_stats(self, monkeypatch):
-        """A scheduler collects the layer statistics of a (model ref,
-        CalibSpec) pair once, across jobs and across its runs; every
-        job still equals its standalone search."""
-        from repro.serve import scheduler as scheduler_module
-        from repro.spec import CalibSpec, SearchSpec
-
-        calls = []
-        collect = scheduler_module.collect_layer_stats
-
-        def counting(model, images):
-            calls.append(1)
-            return collect(model, images)
-
-        monkeypatch.setattr(scheduler_module, "collect_layer_stats",
-                            counting)
-
-        def spec(seed, calib_seed=3):
-            return SearchSpec(model="tiny:mlp",
-                              calib=CalibSpec(batch=4, seed=calib_seed),
-                              config=SEARCH, seed=seed)
-
-        scheduler = SearchScheduler()
-        specs = {"a": spec(1), "b": spec(2), "c": spec(1, calib_seed=4)}
-        handles = {n: scheduler.submit(n, spec=s) for n, s in specs.items()}
-        scheduler.run()
-        assert len(calls) == 2
-        assert handles["a"].result().stats is handles["b"].result().stats
-        specs["d"] = spec(3)
-        handles["d"] = scheduler.submit("d", spec=specs["d"])
-        scheduler.run()
-        assert len(calls) == 2
-        for name, handle in handles.items():
-            want = lpq_quantize(spec=specs[name])  # its own scheduler
-            assert handle.result().solution == want.solution
-            assert handle.result().fitness == want.fitness
-        assert len(calls) == 2 + len(specs)

@@ -536,8 +536,8 @@ class TestBoundsSoak:
 
 def _assert_idle_replicas_bounded(worker) -> None:
     """A worker keeps at most IDLE_REPLICAS idle replicas, and an idle
-    replica holds no cached tensor: only its model, calibration images
-    and FP references."""
+    replica holds no cached tensor: only its model's parameters, its
+    calibration images and FP references."""
     idle = worker.idle_replicas.replicas()
     assert len(idle) <= IDLE_REPLICAS
     for replica in idle:
@@ -547,6 +547,9 @@ def _assert_idle_replicas_bounded(worker) -> None:
         assert not evaluator._forward_cache._records
         assert evaluator._ref_cfg is None
         assert all(c is None for c in getattr(evaluator, "_col_cache", []))
+        for _, module in evaluator.model.named_modules():
+            for attr in module._forward_state:
+                assert getattr(module, attr) is None, attr
 
 
 def _session_replicas(worker) -> list[set]:
