@@ -105,6 +105,3 @@ def test_bench_search_throughput(benchmark, tmp_path):
     benchmark.extra_info["weight_cache_hit_rate"] = round(
         caches["quant.weight_cache"]["hit_rate"], 3
     )
-    benchmark.extra_info["act_cache_hit_rate"] = round(
-        caches["quant.act_cache"]["hit_rate"], 3
-    )

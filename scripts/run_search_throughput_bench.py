@@ -9,7 +9,7 @@ Usage::
         [--out BENCH_search_throughput.json]
 
 For every selected model the record compares the reference evaluation
-path, the incremental engine (weight/activation quant caches, fused
+path, the incremental engine (quantized-weight cache, fused
 BN recalibration, prefix-reuse forwards), and each
 backend's pool running the same search as a one-job
 ``repro.serve.SearchScheduler`` (what ``lpq_quantize`` runs), asserting

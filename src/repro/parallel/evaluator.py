@@ -5,7 +5,6 @@ workers — the incremental engine mutates its model in place (installed
 fake-quantization, BN statistics windows), so every worker owns a full
 *replica*: its own model copy, calibration state, and worker-local
 caches (:class:`~repro.quant.quantizer.WeightQuantCache`,
-:class:`~repro.quant.quantizer.ActQuantCache`,
 :class:`repro.nn.ForwardCache`).
 
 :class:`EvaluatorSpec` is the picklable recipe a replica is built from:

@@ -5,8 +5,8 @@ analogue) the *same* genetic search runs several ways:
 
 * ``reference`` — full BN-recalibration pass + full measurement pass per
   candidate (``FitnessConfig.fast`` off);
-* ``fast`` — the incremental engine (quantized-weight + activation-quant
-  caches, fused recalibration, prefix-reuse forwards);
+* ``fast`` — the incremental engine (quantized-weight cache, fused
+  recalibration, prefix-reuse forwards);
 * one section per executor backend (``serial`` / ``process`` /
   ``remote``) — the incremental engine as a one-job
   :class:`repro.serve.SearchScheduler` run on that backend's pool, the

@@ -1,7 +1,7 @@
 """Perf-counter primitives: counters, wall-clock timers, cache stats.
 
-The hot paths of the LPQ search (quantized-weight and activation-quant
-caches, prefix-reuse forward passes) are instrumented through a
+The hot paths of the LPQ search (quantized-weight cache, prefix-reuse
+forward passes) are instrumented through a
 :class:`PerfRegistry` so every run can report where time went and how
 well each cache performed.  Instrumentation must never change behaviour:
 all primitives are plain accumulators with no side effects on the code

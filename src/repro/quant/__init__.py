@@ -15,7 +15,6 @@ from .params import QuantSolution, clamp_lp_params, random_solution
 from .pooling import kurtosis3, mean_pool_representation, pool_representation
 from .ptq import LPQResult, lpq_quantize
 from .quantizer import (
-    ActQuantCache,
     LayerStats,
     WeightQuantCache,
     apply_quantization,
@@ -27,7 +26,6 @@ from .quantizer import (
 )
 
 __all__ = [
-    "ActQuantCache",
     "FitnessConfig",
     "IncrementalEvaluator",
     "FitnessEvaluator",

@@ -14,10 +14,6 @@ extracts from the pass:
 
 * a :class:`~repro.quant.quantizer.WeightQuantCache` re-quantizes only
   layers whose parameters actually changed;
-* an :class:`~repro.quant.quantizer.ActQuantCache` memoises quantized
-  activations by input identity, so the first recomputed layer of a
-  replayed pass skips ``lp_quantize`` when its input and activation
-  parameters are unchanged;
 * a prefix-reuse forward (:class:`repro.nn.ForwardCache`) replays cached
   activations up to the first changed layer and recomputes the suffix;
 * BN recalibration is fused into the measurement pass: with momentum 1 a
@@ -61,20 +57,15 @@ class FitnessConfig:
     """Knobs of the fitness function; defaults follow the paper.
 
     ``fast`` toggles the incremental evaluation engine (quantized-weight
-    cache, prefix-reuse forward passes, fused BN recalibration,
-    activation-quant cache).  Fast and reference paths
-    produce bitwise-identical fitness values; the flag exists for
-    benchmarking and as an escape hatch.  ``weight_cache_entries`` bounds
-    the quantized-weight LRU and ``act_cache_entries`` the quantized-
-    activation LRU (entries pin activation tensors, so keep it small).
+    cache, prefix-reuse forward passes, fused BN recalibration).  Fast
+    and reference paths produce bitwise-identical fitness values; the
+    flag exists for benchmarking and as an escape hatch.
     """
 
     tau: float = 0.07  # concentration level of the contrastive loss
     lam: float = 0.4  # λ balancing L_CO and L_CR
     pooling: str = "kurtosis"  # "kurtosis" (paper) | "mean" (ablation)
     fast: bool = True  # incremental evaluation engine
-    weight_cache_entries: int = 1024
-    act_cache_entries: int = 64
 
     def to_dict(self) -> dict:
         """Plain-JSON dict form (used by :class:`repro.spec.SearchSpec`)."""
@@ -128,11 +119,7 @@ class IncrementalEvaluator:
         config: FitnessConfig | None = None,
         perf=None,
     ) -> None:
-        from .quantizer import (
-            ActQuantCache,
-            WeightQuantCache,
-            clear_quantization,
-        )
+        from .quantizer import WeightQuantCache, clear_quantization
 
         self.model = model
         self.images = calib_images
@@ -154,12 +141,7 @@ class IncrementalEvaluator:
         self._modules = [m for _, m in model.named_modules()]
         self._bns = [m for m in self._modules if isinstance(m, BatchNorm2d)]
         self._weight_cache = WeightQuantCache(
-            self.config.weight_cache_entries,
-            stats=self.perf.cache("quant.weight_cache"),
-        )
-        self._act_cache = ActQuantCache(
-            self.config.act_cache_entries,
-            stats=self.perf.cache("quant.act_cache"),
+            stats=self.perf.cache("quant.weight_cache")
         )
         self._forward_cache = ForwardCache(model)
         self._ref_cfg: tuple | None = None
@@ -244,7 +226,6 @@ class IncrementalEvaluator:
     def reset_caches(self) -> None:
         """Invalidate all caches (required after mutating model weights)."""
         self._weight_cache.clear()
-        self._act_cache.clear()
         self._forward_cache.invalidate()
         self._ref_cfg = None
         self._on_reset()
@@ -287,13 +268,7 @@ class IncrementalEvaluator:
         cfg = self._layer_config(solution, act_params)
         full = not self._forward_cache.primed or self._ref_cfg is None
         first = 0 if full else self._first_diff(cfg)
-        _install(
-            self._layers,
-            solution,
-            act_params,
-            self._weight_cache,
-            self._act_cache,
-        )
+        _install(self._layers, solution, act_params, self._weight_cache)
         try:
             if first is None:
                 dirty, suffix = None, range(0)

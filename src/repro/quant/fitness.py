@@ -18,7 +18,7 @@ second full pass to fingerprint the quantized model.  The *incremental*
 engine (``FitnessConfig.fast``, default on) produces bitwise-identical
 fitness values while exploiting the block-wise structure of the search —
 see :class:`repro.quant.engine.IncrementalEvaluator` for the machinery
-(weight/activation quant caches, prefix-reuse forward replay, fused BN
+(quantized-weight cache, prefix-reuse forward replay, fused BN
 recalibration).  On top of the shared engine this evaluator adds a
 pooled-column cache: kurtosis fingerprint columns of unchanged layers
 are reused as-is.

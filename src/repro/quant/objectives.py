@@ -6,7 +6,7 @@ representational collapse of intermediate layers (global contrastive).
 Each evaluator shares the interface of
 :class:`repro.quant.fitness.FitnessEvaluator` so the GA engine can swap
 objectives for the convergence experiment — including the incremental
-fast path (weight/activation quant caches, prefix-reuse forward
+fast path (quantized-weight cache, prefix-reuse forward
 replay, fused BN recalibration): a Fig. 5(a) baseline sweep no
 longer pays the full reference-path cost per candidate.
 """

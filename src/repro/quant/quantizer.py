@@ -21,7 +21,6 @@ from ..numerics import LPParams, lp_quantize, lp_quantize_many, tensor_log_cente
 from .params import QuantSolution, clamp_lp_params
 
 __all__ = [
-    "ActQuantCache",
     "LayerStats",
     "WeightQuantCache",
     "collect_layer_stats",
@@ -127,61 +126,6 @@ class WeightQuantCache:
         self._data.clear()
 
 
-class ActQuantCache:
-    """LRU cache of quantized activation tensors keyed by
-    ``(layer, act-params, input identity)``.
-
-    During a prefix-reuse search the input of the first recomputed layer
-    is served from the forward cache, so across consecutive candidates it
-    is the *same array object*; when that layer's activation parameters
-    did not change either, ``input_fq`` used to re-run ``lp_quantize`` on
-    identical data every pass.  The cache memoises those results.
-
-    Correctness rests on identity, not equality: an entry is returned
-    only when the stored input *is* the requested array (``is``), and the
-    entry pins both the input and the layer so their ids can never be
-    recycled while the entry lives.  Layers never mutate their outputs in
-    place, so a pinned input's contents are stable.  The cached tensor is
-    the verbatim result of ``lp_quantize`` on the same array — reuse is
-    bitwise-identical by construction.
-    """
-
-    def __init__(self, max_entries: int = 64, stats=None) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self.stats = stats
-        self._data: OrderedDict[
-            tuple[int, LPParams, int], tuple[Module, np.ndarray, np.ndarray]
-        ] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def quantize(
-        self, layer: Module, x: np.ndarray, params: LPParams
-    ) -> np.ndarray:
-        key = (id(layer), params, id(x))
-        entry = self._data.get(key)
-        if entry is not None and entry[1] is x:
-            self._data.move_to_end(key)
-            if self.stats is not None:
-                self.stats.hit()
-            return entry[2]
-        if self.stats is not None:
-            self.stats.miss()
-        qx = lp_quantize(x, params, dtype=x.dtype)
-        self._data[key] = (layer, x, qx)
-        while len(self._data) > self.max_entries:
-            self._data.popitem(last=False)
-            if self.stats is not None:
-                self.stats.evict()
-        return qx
-
-    def clear(self) -> None:
-        self._data.clear()
-
-
 class LayerStats:
     """Per-layer calibration statistics needed to derive LP parameters."""
 
@@ -256,8 +200,6 @@ def apply_quantization(
     model: Module,
     solution: QuantSolution,
     act_params: list[LPParams] | None = None,
-    cache: WeightQuantCache | None = None,
-    act_cache: ActQuantCache | None = None,
 ) -> None:
     """Install weight (and optionally activation) fake-quantization.
 
@@ -265,22 +207,17 @@ def apply_quantization(
     the *input* quantizer of layer ``l + 1``.  Layer 0's input (the image)
     stays unquantized, matching the usual PTQ convention of an 8-bit-or-
     better input pipeline.
-
-    With a :class:`WeightQuantCache`, layers whose parameters were seen
-    before reuse the cached quantized tensor instead of re-running
-    ``lp_quantize`` — the per-candidate cost of a block-wise search drops
-    to quantizing only the regenerated block.  With an
-    :class:`ActQuantCache`, the installed ``input_fq`` additionally
-    memoises quantized activations by input identity, which pays off when
-    a prefix-reuse forward feeds the same cached tensor to the first
-    recomputed layer across candidates.
     """
-    _install(quantizable_layers(model), solution, act_params, cache, act_cache)
+    _install(quantizable_layers(model), solution, act_params)
 
 
-def _install(layers, solution, act_params, cache, act_cache) -> None:
+def _install(layers, solution, act_params, cache=None) -> None:
     """:func:`apply_quantization` over a ``quantizable_layers`` list the
-    caller already holds (evaluators build theirs once)."""
+    caller already holds (evaluators build theirs once).  With a
+    :class:`WeightQuantCache`, layers whose parameters were seen before
+    reuse the cached quantized tensor instead of re-running
+    ``lp_quantize``: the per-candidate cost of a block-wise search drops
+    to quantizing only the regenerated block."""
     if len(layers) != len(solution):
         raise ValueError(
             f"solution has {len(solution)} layers, model has {len(layers)}"
@@ -293,23 +230,14 @@ def _install(layers, solution, act_params, cache, act_cache) -> None:
             w = layer.weight.data
             layer.weight_fq = lp_quantize(w, wp, dtype=w.dtype)
         if act_params is not None and i > 0:
-            ap = act_params[i - 1]
-            layer.input_fq = _make_act_quantizer(ap, layer, act_cache)
+            layer.input_fq = _make_act_quantizer(act_params[i - 1])
         else:
             layer.input_fq = None
 
 
-def _make_act_quantizer(
-    params: LPParams,
-    layer: Module | None = None,
-    cache: ActQuantCache | None = None,
-):
-    if cache is not None and layer is not None:
-        def quantize(x: np.ndarray) -> np.ndarray:
-            return cache.quantize(layer, x, params)
-    else:
-        def quantize(x: np.ndarray) -> np.ndarray:
-            return lp_quantize(x, params, dtype=x.dtype)
+def _make_act_quantizer(params: LPParams):
+    def quantize(x: np.ndarray) -> np.ndarray:
+        return lp_quantize(x, params, dtype=x.dtype)
 
     return quantize
 

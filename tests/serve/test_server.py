@@ -200,6 +200,40 @@ class TestRestartRecovery:
             _assert_bitwise(rerun, serial_refs[10])
             assert rerun == {**record, "wall_s": rerun["wall_s"]}
 
+    def test_unreadable_journal_spec_is_skipped_on_restart(
+            self, tmp_path, serial_refs, capsys):
+        """A journal written by another build can hold a spec this build
+        cannot parse (here a fitness field it does not know).  The
+        restarted daemon skips that one job, logs why, recovers the
+        journal's other jobs and keeps accepting submissions."""
+        from repro.quant import FitnessConfig
+
+        data_dir = tmp_path / "daemon"
+        with SearchServer(data_dir=data_dir, perf=PerfRegistry()) as server:
+            server.submit_job(_spec(10), name="done")
+            _wait_states(server, {"done": "done"})
+        stale = _spec(11).to_dict()
+        stale["fitness"] = {**FitnessConfig().to_dict(), "old_knob": 64}
+        journal = Journal(data_dir / "journal.jsonl")
+        journal.append("submitted", "stale", spec=stale, priority=0)
+        journal.append("submitted", "pending", spec=_spec(11).to_dict(),
+                       priority=0)
+        journal.close()
+        capsys.readouterr()
+
+        with SearchServer(data_dir=data_dir, perf=PerfRegistry(),
+                          verbose=True) as server:
+            assert "cannot rebuild job 'stale'" in capsys.readouterr().out
+            with pytest.raises(ServerError, match="unknown job"):
+                server.job_state("stale")
+            assert server.stats["replayed"] == 1
+            server.submit_job(_spec(12), name="new")
+            _wait_states(server, {"done": "done", "pending": "done",
+                                  "new": "done"})
+            assert server.stats["executed"] == 2
+            for name, seed in (("done", 10), ("pending", 11), ("new", 12)):
+                _assert_bitwise(server.job_record(name), serial_refs[seed])
+
     def test_sigkill_subprocess_restart(self, tmp_path, serial_refs):
         """The real thing: ``run_server.py`` killed with SIGKILL mid-run,
         restarted on the same ``--data-dir``, clients reconnect and the
@@ -543,7 +577,6 @@ def _assert_idle_replicas_bounded(worker) -> None:
     for replica in idle:
         evaluator = replica.evaluator
         assert len(evaluator._weight_cache) == 0
-        assert len(evaluator._act_cache) == 0
         assert not evaluator._forward_cache._records
         assert evaluator._ref_cfg is None
         assert all(c is None for c in getattr(evaluator, "_col_cache", []))

@@ -50,8 +50,6 @@ fitness_configs = st.builds(
     lam=st.floats(0.0, 1.0, allow_nan=False),
     pooling=st.sampled_from(["kurtosis", "mean"]),
     fast=st.booleans(),
-    weight_cache_entries=st.integers(1, 4096),
-    act_cache_entries=st.integers(1, 256),
 )
 
 executor_configs = st.builds(
